@@ -25,6 +25,18 @@ terminates.  Failures discovered under such pruning may depend on the
 ancestor context; they are memoised only when every prune event referenced
 an ancestor at or below the failing goal.
 
+Before it expands an INT/CL goal, search tries to refute it classically:
+both calculi are sound for two-valued semantics, so a boolean valuation
+that makes the antecedent true and the succedent false refutes the goal
+outright.  Each public search call fixes the root goal's variables and
+keeps one truth table per distinct term, a Python int holding the term's
+value under every valuation of those variables, computed once and dropped
+when the call returns.  The root's variables suffice for every subgoal:
+G3ip and Gem-at premisses use only the root's variables, and valuing
+variables a subgoal lacks changes none of its members.  A root with more
+than ``_REFUTE_VAR_CAP`` variables gets no tables; each goal is then tested
+on its own variables, and not at all when it too has more than the cap.
+
 Memoisation is per (calculus, canonical sequent), keyed by the exact
 sequent; witnesses are real derivations of the queried goal.  The memo is a
 plain dict (per-key updates are atomic under the GIL); per-goal search is
@@ -120,13 +132,9 @@ class SearchEngine:
 
     def derive(self, calculus: str, goal: Sequent) -> Optional[Derivation]:
         """A derivation of the goal, or None when exhaustive search refutes it."""
-        calculus = normalize_calculus(calculus)
-        if calculus != goal.calculus:
-            raise CalculusMismatchError(
-                f"goal is tagged {goal.calculus}, not {calculus}")
-        if calculus in (SDM, DM):
+        if _checked(calculus, goal) in (SDM, DM):
             return self._derive_wf(goal)
-        return self._derive_lc(goal, {}, 0)[0]
+        return self._derive_lc(goal, {}, 0, _TruthTables(goal))[0]
 
     def derivable(self, calculus: str, goal: Sequent) -> bool:
         return self.derive(calculus, goal) is not None
@@ -156,12 +164,13 @@ class SearchEngine:
                 break
         return self._store(memo, goal, result)
 
-    def _derive_lc(self, goal: Sequent, path: dict, depth: int):
+    def _derive_lc(self, goal: Sequent, path: dict, depth: int,
+                   tt: "_TruthTables"):
         memo = self._witness
         hit = memo.get(goal, _BIG)
         if hit is not _BIG:
             return hit, _BIG
-        if classically_refutable(goal):
+        if tt.refutes(goal):
             # G3ip and G3ip+Gem-at are sound for two-valued semantics, so a
             # boolean countermodel refutes absolutely; this collapses the
             # search space that the implication-left rule would otherwise
@@ -184,7 +193,7 @@ class SearchEngine:
                 committed = invertible(inst.label, goal)
                 children = []
                 for p in inst.premisses:
-                    d, mr = self._derive_lc(p, path, depth + 1)
+                    d, mr = self._derive_lc(p, path, depth + 1, tt)
                     if d is None:
                         if mr < minref:
                             minref = mr
@@ -216,18 +225,15 @@ class SearchEngine:
         instance enumeration; INT/CL minima by iterative deepening below a
         witness found by derive.
         """
-        calculus = normalize_calculus(calculus)
-        if calculus != goal.calculus:
-            raise CalculusMismatchError(
-                f"goal is tagged {goal.calculus}, not {calculus}")
-        if calculus in (SDM, DM):
+        if _checked(calculus, goal) in (SDM, DM):
             h = self._mh(goal)
             return None if h == _BIG else h
-        witness = self.derive(calculus, goal)
+        tt = _TruthTables(goal)
+        witness = self._derive_lc(goal, {}, 0, tt)[0]
         if witness is None:
             return None
         for n in range(witness.height + 1):
-            if self._bd(goal, n):
+            if self._bd(goal, n, tt):
                 return n
         return witness.height
 
@@ -257,42 +263,45 @@ class SearchEngine:
 
     def derivable_within_height(self, calculus: str, goal: Sequent, n: int) -> bool:
         """True iff some derivation of height at most n exists (exact bound)."""
-        calculus = normalize_calculus(calculus)
-        if calculus != goal.calculus:
-            raise CalculusMismatchError(
-                f"goal is tagged {goal.calculus}, not {calculus}")
-        if n < 0:
-            return False
-        if calculus in (SDM, DM):
-            return self._mh(goal) <= n
-        return self._bd(goal, n)
+        _checked(calculus, goal)
+        return self._within(goal, n, _TruthTables(goal))
 
     def derive_within_height(self, calculus: str, goal: Sequent, n: int):
         """A derivation of height at most n, or None."""
-        if not self.derivable_within_height(calculus, goal, n):
+        _checked(calculus, goal)
+        tt = _TruthTables(goal)
+        if not self._within(goal, n, tt):
             return None
-        return self._reconstruct(goal, n)
+        return self._reconstruct(goal, n, tt)
 
-    def _reconstruct(self, goal: Sequent, n: int) -> Derivation:
+    def _within(self, goal: Sequent, n: int, tt: "_TruthTables") -> bool:
+        if n < 0:
+            return False
+        if goal.calculus in (SDM, DM):
+            return self._mh(goal) <= n
+        return self._bd(goal, n, tt)
+
+    def _reconstruct(self, goal: Sequent, n: int,
+                     tt: "_TruthTables") -> Derivation:
         weighted = goal.calculus in (SDM, DM)
         fits = ((lambda s, k: self._mh(s) <= k) if weighted
-                else (lambda s, k: self._bd(s, k)))
+                else (lambda s, k: self._bd(s, k, tt)))
         for inst in iter_instances(goal):
             if not inst.premisses:
                 return _node(inst, ())
             if n > 0 and all(fits(p, n - 1) for p in inst.premisses):
-                children = tuple(self._reconstruct(p, n - 1)
+                children = tuple(self._reconstruct(p, n - 1, tt)
                                  for p in inst.premisses)
                 return _node(inst, children)
         raise AssertionError("bounded reconstruction ran out of instances")
 
-    def _bd(self, goal: Sequent, n: int) -> bool:
+    def _bd(self, goal: Sequent, n: int, tt: "_TruthTables") -> bool:
         key = (goal, n)
         memo = self._bounded
         hit = memo.get(key)
         if hit is not None:
             return hit
-        if classically_refutable(goal):
+        if tt.refutes(goal):
             self._store(memo, key, False)
             return False
         classical = goal.calculus == CL
@@ -301,41 +310,103 @@ class SearchEngine:
             if not inst.premisses:
                 ok = True
                 break
-            if n > 0 and all(self._bd(p, n - 1) for p in inst.premisses):
+            if n > 0 and all(self._bd(p, n - 1, tt) for p in inst.premisses):
                 ok = True
                 break
         self._store(memo, key, ok)
         return ok
 
 
-def _bool_eval(t, val: dict) -> bool:
-    ty = type(t)
-    if ty is Var:
-        return val[(t.ns, t.name)]
-    if ty is Imp:
-        return (not _bool_eval(t.left, val)) or _bool_eval(t.right, val)
-    if ty is And:
-        return _bool_eval(t.left, val) and _bool_eval(t.right, val)
-    if ty is Or:
-        return _bool_eval(t.left, val) or _bool_eval(t.right, val)
-    return False  # bottom
+def _checked(calculus: str, goal: Sequent) -> str:
+    """The normalised calculus name, which must match the goal's tag."""
+    calculus = normalize_calculus(calculus)
+    if calculus != goal.calculus:
+        raise CalculusMismatchError(
+            f"goal is tagged {goal.calculus}, not {calculus}")
+    return calculus
 
 
 _REFUTE_VAR_CAP = 14
 
 
+class _TruthTables:
+    """Boolean truth tables over the valuations of one root goal's variables.
+
+    With the root's variables in sorted order, bit m of a table is the
+    term's value under the valuation that gives variable i the value of bit
+    i of m; a table is a Python int and the connectives are bitwise.  Each
+    distinct term's table is computed once and kept for the life of this
+    object, i.e. of one public search call.  The variables are fixed on the
+    first test, so a root answered from the memo builds nothing.
+    """
+
+    __slots__ = ("_root", "_full", "_tables")
+
+    def __init__(self, root: Sequent):
+        self._root = root
+        self._full = None
+        self._tables = None
+
+    def _build(self):
+        names = sorted(variables(self._root))
+        self._tables = {}
+        if len(names) > _REFUTE_VAR_CAP:
+            return
+        full = (1 << (1 << len(names))) - 1
+        self._full = full
+        for i, (ns, name) in enumerate(names):
+            block = 1 << i
+            # 2^i zeros then 2^i ones, repeated across the 2^n valuations
+            self._tables[Var(name, ns)] = (
+                ((1 << block) - 1) << block) * (full // ((1 << 2 * block) - 1))
+
+    def _table(self, t) -> int:
+        tab = self._tables.get(t)
+        if tab is None:
+            ty = type(t)
+            if ty is Imp:
+                tab = (self._full ^ self._table(t.left)) | self._table(t.right)
+            elif ty is And:
+                tab = self._table(t.left) & self._table(t.right)
+            elif ty is Or:
+                tab = self._table(t.left) | self._table(t.right)
+            elif ty is Var:
+                raise ValueError(f"{t!r} does not occur in the root goal")
+            else:
+                tab = 0  # bottom
+            self._tables[t] = tab
+        return tab
+
+    def refutes(self, goal: Sequent) -> bool:
+        """Some valuation makes every antecedent member true, succedent false.
+
+        ``goal`` must use only the root's variables.  Above the variable
+        cap the root has no tables, and each goal is tested on its own.
+        """
+        if self._tables is None:
+            self._build()
+        full = self._full
+        if full is None:
+            alone = _TruthTables(goal)
+            alone._build()
+            return alone._full is not None and alone.refutes(goal)
+        get = self._tables.get
+        tab = get(goal.succedent)
+        acc = full ^ (self._table(goal.succedent) if tab is None else tab)
+        for m in goal.antecedent:
+            if not acc:
+                return False
+            tab = get(m)
+            acc &= self._table(m) if tab is None else tab
+        return acc != 0
+
+
 def classically_refutable(goal: Sequent) -> bool:
-    """Some boolean valuation makes every antecedent member true, succedent false."""
-    names = sorted(variables(goal))
-    if len(names) > _REFUTE_VAR_CAP:
-        return False
-    for mask in range(1 << len(names)):
-        val = {nm: bool(mask >> i & 1) for i, nm in enumerate(names)}
-        if _bool_eval(goal.succedent, val):
-            continue
-        if all(_bool_eval(m, val) for m in goal.antecedent):
-            return True
-    return False
+    """Some boolean valuation makes every antecedent member true, succedent false.
+
+    False when the goal has more than ``_REFUTE_VAR_CAP`` variables.
+    """
+    return _TruthTables(goal).refutes(goal)
 
 
 _default_engine = SearchEngine()
@@ -490,19 +561,38 @@ def proof_to_obj(d: Derivation) -> dict:
             "derivation": node(d)}
 
 
+def _field(x: dict, key: str, types, path: str):
+    if key not in x:
+        raise ValueError(f"{path}: missing key {key!r}")
+    v = x[key]
+    if isinstance(v, bool) or not isinstance(v, types):
+        raise ValueError(f"{path}: key {key!r} holds a {type(v).__name__}")
+    return v
+
+
 def proof_from_obj(obj: dict) -> Derivation:
+    """Inverse of proof_to_obj; ValueError names a missing or ill-typed key."""
+    if not isinstance(obj, dict):
+        raise ValueError(f"a proof is a JSON object, not a {type(obj).__name__}")
     if obj.get("schema") != PROOF_SCHEMA:
         raise ValueError(f"unsupported proof schema {obj.get('schema')!r}")
 
-    def node(x: dict) -> Derivation:
+    def node(x, path: str) -> Derivation:
+        if not isinstance(x, dict):
+            raise ValueError(f"{path}: a node is an object, not a {type(x).__name__}")
+        try:
+            seq = sequent_from_obj(_field(x, "sequent", dict, path))
+        except (KeyError, TypeError, AttributeError) as e:
+            raise ValueError(f"{path}.sequent: malformed sequent ({e!r})") from None
+        premisses = _field(x, "premisses", list, path)
         return Derivation(
-            sequent_from_obj(x["sequent"]),
-            x["rule"],
-            x["principal"],
-            tuple(node(c) for c in x["premisses"]),
-            x["height"],
+            seq,
+            _field(x, "rule", str, path),
+            _field(x, "principal", (int, type(None)), path),
+            tuple(node(c, f"{path}.premisses[{i}]") for i, c in enumerate(premisses)),
+            _field(x, "height", int, path),
         )
-    return node(obj["derivation"])
+    return node(_field(obj, "derivation", dict, "proof"), "derivation")
 
 
 def render(d: Derivation, format: str = "ascii") -> str:

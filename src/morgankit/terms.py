@@ -208,11 +208,6 @@ def fold(ctor, items, empty):
     return acc
 
 
-def neg_imp(t: Term) -> Term:
-    """~t in the implicational language, i.e. t -> F."""
-    return Imp(t, BOT)
-
-
 class Struct:
     """A basic SDM-structure: a term, optionally under the structural star.
 

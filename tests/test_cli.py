@@ -60,6 +60,18 @@ def test_prove_json_roundtrips_through_render(tmp_path):
     assert r3.stdout.startswith(r"\begin{prooftree}")
 
 
+def test_render_malformed_proof_is_exit_2():
+    r = run_cli("render", stdin='{"schema": "morgan-kit/proof/v1", "calculus": "int"}')
+    assert r.returncode == 2
+    assert "'derivation'" in r.stderr and "Traceback" not in r.stderr
+    r = run_cli("prove", "--calculus", "g3ip", "p & q => q & p", "--format", "json")
+    obj = json.loads(r.stdout)
+    del obj["derivation"]["premisses"][0]["rule"]
+    r = run_cli("render", stdin=json.dumps(obj))
+    assert r.returncode == 2
+    assert "derivation.premisses[0]: missing key 'rule'" in r.stderr
+
+
 def test_batch_mode_jsonl():
     r = run_cli("decide", "--calculus", "g3dm", "--batch",
                 stdin="~~p => p\np => q\nbad (\n")
