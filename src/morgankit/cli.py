@@ -144,10 +144,7 @@ def _cmd_translate(args) -> int:
 
 def _cmd_check_embedding(args) -> int:
     kind = args.kind
-    source = {
-        "dm-to-sdm-f": DM, "dm-glivenko-sdm": DM, "sdm-to-int-k": SDM,
-        "dm-to-cl-h": DM, "cl-to-int-g": CL, "diagram": DM,
-    }[kind]
+    source = translations.EMBEDDING_KINDS[kind]
     if args.input:
         with open(args.input) as fh:
             seqs = [syntax.parse_sequent(line.strip(), source)
@@ -196,7 +193,11 @@ def _cmd_algebra(args) -> int:
 
 def _cmd_render(args) -> int:
     data = sys.stdin.read() if args.input == "-" else open(args.input).read()
-    d = search.proof_from_obj(json.loads(data))
+    try:
+        obj = json.loads(data)
+    except RecursionError:
+        raise ValueError("proof JSON nested too deeply") from None
+    d = search.proof_from_obj(obj)
     print(search.render(d, args.format))
     return EXIT_OK
 

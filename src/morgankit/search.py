@@ -25,6 +25,15 @@ terminates.  Failures discovered under such pruning may depend on the
 ancestor context; they are memoised only when every prune event referenced
 an ancestor at or below the failing goal.
 
+An INT/CL goal whose succedent A occurs in its antecedent is derivable by
+the generalised identity lemma (Negri & von Plato, *Structural Proof
+Theory*, 2001).  Search builds that derivation directly, by recursion on A,
+from rule instances of the G3ip table, instead of searching for one:
+searching is slow on such goals, and the loop check misses some of them
+when A repeats a subformula.  The height-exact searches
+(``min_height``'s deepening, ``derivable_within_height``) do not use it,
+because the identity derivation need not have minimal height.
+
 Before it expands an INT/CL goal, search tries to refute it classically:
 both calculi are sound for two-valued semantics, so a boolean valuation
 that makes the antecedent true and the succedent false refutes the goal
@@ -170,6 +179,8 @@ class SearchEngine:
         hit = memo.get(goal, _BIG)
         if hit is not _BIG:
             return hit, _BIG
+        if goal.succedent in goal.antecedent:
+            return self._store(memo, goal, _identity(goal)), _BIG
         if tt.refutes(goal):
             # G3ip and G3ip+Gem-at are sound for two-valued semantics, so a
             # boolean countermodel refutes absolutely; this collapses the
@@ -315,6 +326,42 @@ class SearchEngine:
                 break
         self._store(memo, key, ok)
         return ok
+
+
+def _identity(goal: Sequent) -> Derivation:
+    """The derivation of an INT/CL goal ``Gamma, A => A``, by recursion on A.
+
+    ``->R`` then ``->L`` on A; ``&L`` on A then ``&R``; ``|L`` on A then
+    ``|R1``/``|R2``; ``Id`` or ``BotL`` at the leaves.  Every premiss again
+    has its succedent in its antecedent.
+    """
+    a = goal.succedent
+    ty = type(a)
+    if ty is Imp:
+        right = _g3ip_instance(goal, "->R", -1)
+        (p,) = right.premisses
+        left = _g3ip_instance(p, "->L", p.antecedent.index(a))
+        return _node(right, (_node(left, tuple(map(_identity, left.premisses))),))
+    if ty is And:
+        left = _g3ip_instance(goal, "&L", goal.antecedent.index(a))
+        (p,) = left.premisses
+        right = _g3ip_instance(p, "&R", -1)
+        return _node(left, (_node(right, tuple(map(_identity, right.premisses))),))
+    if ty is Or:
+        left = _g3ip_instance(goal, "|L", goal.antecedent.index(a))
+        children = []
+        for p, label in zip(left.premisses, ("|R1", "|R2")):
+            right = _g3ip_instance(p, label, -1)
+            children.append(_node(right, (_identity(right.premisses[0]),)))
+        return _node(left, tuple(children))
+    return _node(_g3ip_instance(goal, "Id" if ty is Var else "BotL", None), ())
+
+
+def _g3ip_instance(goal: Sequent, label: str, principal) -> RuleInstance:
+    for inst in iter_g3ip(goal, goal.calculus == CL):
+        if inst.label == label and inst.principal == principal:
+            return inst
+    raise AssertionError(f"no {label} instance with principal {principal}")
 
 
 def _checked(calculus: str, goal: Sequent) -> str:

@@ -90,6 +90,33 @@ def _var_from_token(tok: str, pos: int, language: str) -> Var:
     return Var(name, ns)
 
 
+#: How deep a term may nest: at most this many connectives on any path from
+#: the root.  It keeps every recursive pass over a term (printing, sort keys,
+#: weights, search, replay) well inside Python's recursion limit.
+MAX_NESTING = 256
+
+_PREC_IMP, _PREC_OR, _PREC_AND, _PREC_UNARY = 0, 1, 2, 3
+
+# binary operator token -> (precedence, constructor)
+_BINARY = {"->": (_PREC_IMP, Imp), "|": (_PREC_OR, Or), "&": (_PREC_AND, And)}
+
+# how each language reads ~x
+_NEGATE = {SDM_DM: Neg, INT_CL: lambda x: Imp(x, BOT)}
+
+
+def _apply(op, left, node: Term, depth: int):
+    """Apply a pending operator to its operands, each a (term, depth) pair."""
+    _, ctor, pos = op
+    if left is not None:
+        node = ctor(left[0], node)
+        depth = max(left[1], depth)
+    else:
+        node = ctor(node)
+    if depth >= MAX_NESTING:
+        raise ParseError(f"nested deeper than {MAX_NESTING} levels", pos)
+    return node, depth + 1
+
+
 class _Parser:
     def __init__(self, text: str, language: str):
         if language not in (SDM_DM, INT_CL):
@@ -115,47 +142,63 @@ class _Parser:
             raise ParseError(f"expected {tok!r}, found {got!r}", pos)
 
     def term(self) -> Term:
-        node = self.disjunction()
-        while self.peek() == "->":
-            _, pos = self.take()
-            if self.language == SDM_DM:
+        """Operator-precedence parse on explicit stacks, so deeply nested
+        input costs no recursion; past MAX_NESTING connectives on one path
+        it raises ParseError at the operator that goes too deep."""
+        tokens = self.tokens
+        i = self.i
+        negate = _NEGATE[self.language]
+        lefts = []   # (term, depth) of the left operand of each pending binary operator
+        ops = []     # (precedence, constructor, position) of pending operators,
+                     # "(" with precedence -1 and "~" with _PREC_UNARY
+        opened = 0   # pending "("
+        while True:
+            tok, pos = tokens[i]
+            i += 1
+            while tok == "~" or tok == "(":
+                if tok == "(":
+                    ops.append((-1, None, pos))
+                    opened += 1
+                else:
+                    ops.append((_PREC_UNARY, negate, pos))
+                tok, pos = tokens[i]
+                i += 1
+            node, depth = self._atom(tok, pos)
+            while True:
+                while ops and ops[-1][0] == _PREC_UNARY:
+                    node, depth = _apply(ops.pop(), None, node, depth)
+                if tokens[i][0] != ")" or not opened:
+                    break
+                i += 1
+                while ops[-1][0] >= 0:
+                    node, depth = _apply(ops.pop(), lefts.pop(), node, depth)
+                ops.pop()
+                opened -= 1
+            tok, pos = tokens[i]
+            op = _BINARY.get(tok)
+            if op is None:
+                break
+            i += 1
+            if op[1] is Imp and self.language == SDM_DM:
                 raise ParseError("'->' is not part of the SDM/DM language", pos)
-            node = Imp(node, self.disjunction())
+            while ops and ops[-1][0] >= op[0]:
+                node, depth = _apply(ops.pop(), lefts.pop(), node, depth)
+            lefts.append((node, depth))
+            ops.append((op[0], op[1], pos))
+        if opened:
+            raise ParseError(f"expected ')', found {tok!r}", pos)
+        while ops:
+            node, depth = _apply(ops.pop(), lefts.pop(), node, depth)
+        self.i = i
         return node
 
-    def disjunction(self) -> Term:
-        node = self.conjunction()
-        while self.peek() == "|":
-            self.take()
-            node = Or(node, self.conjunction())
-        return node
-
-    def conjunction(self) -> Term:
-        node = self.unary()
-        while self.peek() == "&":
-            self.take()
-            node = And(node, self.unary())
-        return node
-
-    def unary(self) -> Term:
-        if self.peek() == "~":
-            self.take()
-            arg = self.unary()
-            return Neg(arg) if self.language == SDM_DM else Imp(arg, BOT)
-        return self.atom()
-
-    def atom(self) -> Term:
-        tok, pos = self.take()
-        if tok == "(":
-            node = self.term()
-            self.expect(")")
-            return node
+    def _atom(self, tok, pos: int):
         if tok == "F":
-            return BOT
+            return BOT, 0
         if tok == "T":
-            return Neg(BOT) if self.language == SDM_DM else Imp(BOT, BOT)
+            return (Neg(BOT) if self.language == SDM_DM else Imp(BOT, BOT)), 1
         if tok is not None and (tok[0].isalpha() or tok[0] in "_#"):
-            return _var_from_token(tok, pos, self.language)
+            return _var_from_token(tok, pos, self.language), 0
         raise ParseError(f"expected a term, found {tok!r}", pos)
 
     def item(self, calculus: str):
@@ -226,8 +269,6 @@ def parse_partition(text: str, calculus: str):
 
 # --- printing ----------------------------------------------------------
 
-_PREC_IMP, _PREC_OR, _PREC_AND, _PREC_UNARY = 0, 1, 2, 3
-
 
 def _var_text(v: Var) -> str:
     if v.ns == BASE:
@@ -297,15 +338,23 @@ def term_to_obj(t: Term) -> dict:
 
 
 def term_from_obj(obj: dict) -> Term:
+    """Inverse of term_to_obj; ValueError past MAX_NESTING nested connectives."""
+    return _term_from_obj(obj, MAX_NESTING)
+
+
+def _term_from_obj(obj: dict, budget: int) -> Term:
     op = obj["op"]
     if op == "var":
         return Var(obj["name"], obj.get("ns", BASE))
     if op == "bot":
         return BOT
+    if budget == 0:
+        raise ValueError(f"term nested deeper than {MAX_NESTING} levels")
     if op == "neg":
-        return Neg(term_from_obj(obj["arg"]))
+        return Neg(_term_from_obj(obj["arg"], budget - 1))
     ctor = {"and": And, "or": Or, "imp": Imp}[op]
-    return ctor(term_from_obj(obj["left"]), term_from_obj(obj["right"]))
+    return ctor(_term_from_obj(obj["left"], budget - 1),
+                _term_from_obj(obj["right"], budget - 1))
 
 
 def member_to_obj(m) -> dict:

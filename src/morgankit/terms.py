@@ -7,14 +7,25 @@ Two term languages share one AST family:
 * the implicational language (variables, F, &, |, ->) used by the
   intuitionistic and classical calculi, where ~x abbreviates x -> F.
 
+Terms and structures are hash-consed: each constructor looks its node up in
+one weak intern table, keyed by the constructor and its children (already
+interned), and builds a node only on a miss.  Two structurally equal terms
+are therefore the same object, so equality is identity and hashing is the
+default identity hash; no term class defines ``__eq__`` or ``__hash__``.
+The table holds its nodes weakly: a term lives exactly as long as something
+outside the table refers to it.  A miss inserts under a lock after a second
+lookup, so threads building the same term concurrently get one node.
+
 Everything here is immutable after construction and safe to share between
-threads.  Hashes are cached at construction time; canonical sort keys are
-cached lazily, so multiset-antecedent sequents can be kept in a canonical
-sorted order cheaply.
+threads.  Each node caches, in slots filled on first use, its canonical sort
+key (so multiset-antecedent sequents can be kept in a canonical sorted order
+cheaply) and its SDM and DM weights.
 """
 
 from __future__ import annotations
 
+import threading
+import weakref
 from typing import Iterable, Union
 
 # Variable namespaces.  Base variables come from user input; the other three
@@ -35,21 +46,47 @@ CL = "cl"
 CALCULI = (SDM, DM, INT, CL)
 
 
+# --- the intern table ----------------------------------------------------
+
+_TABLE: weakref.WeakValueDictionary = weakref.WeakValueDictionary()
+_REFS = _TABLE.data      # the key -> weak reference dict behind _TABLE
+_REMOVE = _TABLE._remove  # _TABLE's callback that drops a dead entry
+_LOCK = threading.Lock()
+
+
+class _Entry(weakref.ref):
+    """A table entry: a weak reference that carries its key, as the table's
+    removal callback expects; cheaper to build than weakref.KeyedRef."""
+
+    __slots__ = ("key",)
+
+
+def _lookup(key):
+    ref = _REFS.get(key)
+    return None if ref is None else ref()
+
+
+def _publish(key, node):
+    """Intern a freshly built node; the node another thread interned first wins."""
+    with _LOCK:
+        ref = _REFS.get(key)
+        won = None if ref is None else ref()
+        if won is None:
+            entry = _Entry(node, _REMOVE)
+            entry.key = key
+            _REFS[key] = entry
+            won = node
+    return won
+
+
 class Term:
     """Base class for all term constructors."""
 
-    __slots__ = ("_h", "_key")
+    __slots__ = ("__weakref__", "_key", "_sw", "_dw")
 
     def key(self):
         """Total-order sort key; equal keys iff structurally equal."""
-        k = self._key
-        if k is None:
-            k = self._make_key()
-            self._key = k
-        return k
-
-    def __hash__(self):
-        return self._h
+        return self._key
 
     def __repr__(self):
         from .syntax import print_term
@@ -59,43 +96,32 @@ class Term:
 class Var(Term):
     __slots__ = ("name", "ns")
 
-    def __init__(self, name: str, ns: str = BASE):
-        if ns not in _NS_RANK:
-            raise ValueError(f"unknown namespace {ns!r}")
-        self.name = name
-        self.ns = ns
-        self._h = hash((1, ns, name))
-        self._key = (0, _NS_RANK[ns], name)
-
-    def _make_key(self):
-        return self._key
-
-    __hash__ = Term.__hash__
-
-    def __eq__(self, other):
-        return self is other or (
-            type(other) is Var and self.name == other.name and self.ns == other.ns
-        )
+    def __new__(cls, name: str, ns: str = BASE):
+        key = (Var, name, ns)
+        node = _lookup(key)
+        if node is None:
+            if ns not in _NS_RANK:
+                raise ValueError(f"unknown namespace {ns!r}")
+            node = object.__new__(cls)
+            node.name = name
+            node.ns = ns
+            node._key = (0, _NS_RANK[ns], name)
+            node._sw = node._dw = 1
+            node = _publish(key, node)
+        return node
 
 
 class _Bottom(Term):
     __slots__ = ()
 
-    def __init__(self):
-        self._h = hash((2, "bot"))
-        self._key = (1,)
-
-    def _make_key(self):
-        return self._key
-
-    __hash__ = Term.__hash__
-
-    def __eq__(self, other):
-        return type(other) is _Bottom
+    def __new__(cls):
+        return BOT
 
 
-#: The falsum constant; use this singleton rather than constructing _Bottom.
-BOT = _Bottom()
+#: The falsum constant, the only _Bottom node.
+BOT = object.__new__(_Bottom)
+BOT._key = (1,)
+BOT._sw = BOT._dw = 1
 
 
 class Neg(Term):
@@ -103,91 +129,61 @@ class Neg(Term):
 
     __slots__ = ("arg",)
 
-    def __init__(self, arg: Term):
-        self.arg = arg
-        self._h = hash((3, arg._h))
-        self._key = None
+    def __new__(cls, arg: Term):
+        key = (Neg, arg)
+        node = _lookup(key)
+        if node is None:
+            node = object.__new__(cls)
+            node.arg = arg
+            node._key = node._sw = node._dw = None
+            node = _publish(key, node)
+        return node
 
-    def _make_key(self):
-        return (2, self.arg.key())
-
-    __hash__ = Term.__hash__
-
-    def __eq__(self, other):
-        return self is other or (
-            type(other) is Neg and self._h == other._h and self.arg == other.arg
-        )
+    def key(self):
+        k = self._key
+        if k is None:
+            k = self._key = (2, self.arg.key())
+        return k
 
 
-class And(Term):
+class _Binary(Term):
+    """Shared construction of the binary connectives."""
+
     __slots__ = ("left", "right")
 
-    def __init__(self, left: Term, right: Term):
-        self.left = left
-        self.right = right
-        self._h = hash((4, left._h, right._h))
-        self._key = None
+    def __new__(cls, left: Term, right: Term):
+        key = (cls, left, right)
+        node = _lookup(key)
+        if node is None:
+            node = object.__new__(cls)
+            node.left = left
+            node.right = right
+            node._key = node._sw = node._dw = None
+            node = _publish(key, node)
+        return node
 
-    def _make_key(self):
-        return (3, self.left.key(), self.right.key())
-
-    __hash__ = Term.__hash__
-
-    def __eq__(self, other):
-        return self is other or (
-            type(other) is And
-            and self._h == other._h
-            and self.left == other.left
-            and self.right == other.right
-        )
+    def key(self):
+        k = self._key
+        if k is None:
+            k = self._key = (self._rank, self.left.key(), self.right.key())
+        return k
 
 
-class Or(Term):
-    __slots__ = ("left", "right")
-
-    def __init__(self, left: Term, right: Term):
-        self.left = left
-        self.right = right
-        self._h = hash((5, left._h, right._h))
-        self._key = None
-
-    def _make_key(self):
-        return (4, self.left.key(), self.right.key())
-
-    __hash__ = Term.__hash__
-
-    def __eq__(self, other):
-        return self is other or (
-            type(other) is Or
-            and self._h == other._h
-            and self.left == other.left
-            and self.right == other.right
-        )
+class And(_Binary):
+    __slots__ = ()
+    _rank = 3
 
 
-class Imp(Term):
+class Or(_Binary):
+    __slots__ = ()
+    _rank = 4
+
+
+class Imp(_Binary):
     """Implication; only meaningful in the INT/CL language."""
 
-    __slots__ = ("left", "right")
-
-    def __init__(self, left: Term, right: Term):
-        self.left = left
-        self.right = right
-        self._h = hash((6, left._h, right._h))
-        self._key = None
-
-    def _make_key(self):
-        return (5, self.left.key(), self.right.key())
-
-    __hash__ = Term.__hash__
-
-    def __eq__(self, other):
-        return self is other or (
-            type(other) is Imp
-            and self._h == other._h
-            and self.left == other.left
-            and self.right == other.right
-        )
+    __slots__ = ()
+    _rank = 5
 
 
 #: Verum in the algebraic language: T is notation for ~F.
@@ -211,36 +207,31 @@ def fold(ctor, items, empty):
 class Struct:
     """A basic SDM-structure: a term, optionally under the structural star.
 
-    Stars never nest; the wrapped value is always a plain term.
+    Stars never nest; the wrapped value is always a plain term.  Structures
+    are interned like terms.
     """
 
-    __slots__ = ("star", "term", "_h", "_key")
+    __slots__ = ("__weakref__", "star", "term", "_key")
 
-    def __init__(self, star: bool, term: Term):
+    def __new__(cls, star: bool, term: Term):
         if not isinstance(term, Term):
             raise TypeError("Struct wraps a term")
-        self.star = star
-        self.term = term
-        self._h = hash((7, star, term._h))
-        self._key = None
+        star = bool(star)
+        key = (Struct, star, term)
+        node = _lookup(key)
+        if node is None:
+            node = object.__new__(cls)
+            node.star = star
+            node.term = term
+            node._key = None
+            node = _publish(key, node)
+        return node
 
     def key(self):
         k = self._key
         if k is None:
-            k = (1 if self.star else 0, self.term.key())
-            self._key = k
+            k = self._key = (1 if self.star else 0, self.term.key())
         return k
-
-    def __hash__(self):
-        return self._h
-
-    def __eq__(self, other):
-        return self is other or (
-            type(other) is Struct
-            and self._h == other._h
-            and self.star == other.star
-            and self.term == other.term
-        )
 
     def __repr__(self):
         from .syntax import print_structure
@@ -288,7 +279,7 @@ class Sequent:
             dedup = []
             prev = None
             for m in self.antecedent:
-                if prev is None or m != prev:
+                if m is not prev:
                     dedup.append(m)
                     prev = m
             sf = (self.calculus, tuple(dedup), self.succedent)
@@ -306,8 +297,8 @@ class Sequent:
         return self is other or (
             type(other) is Sequent
             and self._h == other._h
+            and self.succedent is other.succedent
             and self.calculus == other.calculus
-            and self.succedent == other.succedent
             and self.antecedent == other.antecedent
         )
 
@@ -373,28 +364,22 @@ def is_imp_term(t: Term) -> bool:
 
 # --- weights -----------------------------------------------------------
 
-_SDM_W: dict = {}
-
-
 def _sdm_w(t: Term) -> int:
-    w = _SDM_W.get(t)
-    if w is not None:
-        return w
-    ty = type(t)
-    if ty is Var or ty is _Bottom:
-        w = 1
-    elif ty is Neg:
-        w = _sdm_w(t.arg) + 2
-    elif ty is Or:
-        w = _sdm_w(t.left) + _sdm_w(t.right) + 2
-    elif ty is And:
-        # A conjunction adds 4, not 3: with 3 the starred-negated-conjunction
-        # left rule keeps the sequent weight constant, and backward search
-        # needs every rule to lower it strictly.
-        w = _sdm_w(t.left) + _sdm_w(t.right) + 4
-    else:
-        raise TypeError("SDM weight is defined on the algebraic language only")
-    _SDM_W[t] = w
+    w = t._sw
+    if w is None:
+        ty = type(t)
+        if ty is Neg:
+            w = _sdm_w(t.arg) + 2
+        elif ty is Or:
+            w = _sdm_w(t.left) + _sdm_w(t.right) + 2
+        elif ty is And:
+            # A conjunction adds 4, not 3: with 3 the starred-negated-conjunction
+            # left rule keeps the sequent weight constant, and backward search
+            # needs every rule to lower it strictly.
+            w = _sdm_w(t.left) + _sdm_w(t.right) + 4
+        else:
+            raise TypeError("SDM weight is defined on the algebraic language only")
+        t._sw = w
     return w
 
 
@@ -419,23 +404,17 @@ def sdm_weight(x) -> int:
     raise TypeError(f"cannot weigh {x!r}")
 
 
-_DM_W: dict = {}
-
-
 def _dm_w(t: Term) -> int:
-    w = _DM_W.get(t)
-    if w is not None:
-        return w
-    ty = type(t)
-    if ty is Var or ty is _Bottom:
-        w = 1
-    elif ty is Neg:
-        w = _dm_w(t.arg) + 1
-    elif ty is Or or ty is And:
-        w = _dm_w(t.left) + _dm_w(t.right) + 2
-    else:
-        raise TypeError("DM weight is defined on the algebraic language only")
-    _DM_W[t] = w
+    w = t._dw
+    if w is None:
+        ty = type(t)
+        if ty is Neg:
+            w = _dm_w(t.arg) + 1
+        elif ty is Or or ty is And:
+            w = _dm_w(t.left) + _dm_w(t.right) + 2
+        else:
+            raise TypeError("DM weight is defined on the algebraic language only")
+        t._dw = w
     return w
 
 

@@ -280,10 +280,11 @@ def g_sequent(s: Sequent) -> Sequent:
     return sequent(INT, g_glivenko(s.antecedent), g_glivenko(s.succedent))
 
 
-EMBEDDING_KINDS = (
-    "dm-to-sdm-f", "dm-glivenko-sdm", "sdm-to-int-k", "dm-to-cl-h",
-    "cl-to-int-g", "diagram",
-)
+#: Each embedding kind with the calculus its source sequents come from.
+EMBEDDING_KINDS = {
+    "dm-to-sdm-f": DM, "dm-glivenko-sdm": DM, "sdm-to-int-k": SDM,
+    "dm-to-cl-h": DM, "cl-to-int-g": CL, "diagram": DM,
+}
 
 
 @dataclass
@@ -326,13 +327,14 @@ def check_embedding(kind: str, corpus, engine: Optional[SearchEngine] = None,
         registry = ClassRegistry(eng)    # one registry per invocation
     if kind == "diagram" and registry is None:
         registry = ClassRegistry(eng)
+    source = EMBEDDING_KINDS[kind]
     for s in corpus:
+        if s.calculus != source:
+            raise ValueError(f"corpus sequent tagged {s.calculus}, expected {source}")
         if kind == "dm-to-sdm-f":
-            _expect(s, DM)
             src = eng.derivable(DM, s)
             tgt = eng.derivable(SDM, f_sequent(s))
         elif kind == "dm-glivenko-sdm":
-            _expect(s, DM)
             src = eng.derivable(DM, s)
             image = sequent(SDM, double_negate(s.antecedent),
                             double_negate(s.succedent))
@@ -342,19 +344,15 @@ def check_embedding(kind: str, corpus, engine: Optional[SearchEngine] = None,
             if src == eng.derivable(SDM, printed):
                 report.variant_agreements += 1
         elif kind == "sdm-to-int-k":
-            _expect(s, SDM)
             src = eng.derivable(SDM, s)
             tgt = eng.derivable(INT, k_sequent(s, registry))
         elif kind == "dm-to-cl-h":
-            _expect(s, DM)
             src = eng.derivable(DM, s)
             tgt = eng.derivable(CL, h_sequent(s))
         elif kind == "cl-to-int-g":
-            _expect(s, CL)
             src = eng.derivable(CL, s)
             tgt = eng.derivable(INT, g_sequent(s))
         else:  # diagram
-            _expect(s, DM)
             gh = g_sequent(h_sequent(s))
             kf = f_sequent(s)
             kf_int = sequent(INT, [k_member(m, registry) for m in kf.antecedent],
@@ -363,8 +361,3 @@ def check_embedding(kind: str, corpus, engine: Optional[SearchEngine] = None,
             tgt = eng.derivable(INT, kf_int)
         report.record(s, src, tgt)
     return report
-
-
-def _expect(s: Sequent, calculus: str):
-    if s.calculus != calculus:
-        raise ValueError(f"corpus sequent tagged {s.calculus}, expected {calculus}")

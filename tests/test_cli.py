@@ -143,3 +143,35 @@ def test_check_embedding_command():
                 "--seed", "3", "--max-weight", "14")
     assert r.returncode == 0
     assert "agreement: 40/40" in r.stdout
+
+
+def test_deep_input_is_exit_2():
+    from morgankit.syntax import MAX_NESTING
+    r = run_cli("decide", "--calculus", "g3sdm", "~" * 1000 + "p => p")
+    assert r.returncode == 2
+    assert "position" in r.stderr and "Traceback" not in r.stderr
+    term = {"op": "var", "name": "p"}
+    for _ in range(MAX_NESTING + 1):
+        term = {"op": "neg", "arg": term}
+    member = {"star": False, "term": term}
+    proof = {"schema": "morgan-kit/proof/v1", "calculus": "dm", "derivation": {
+        "sequent": {"schema": "morgan-kit/ast/v1", "calculus": "dm",
+                    "antecedent": [member], "succedent": member},
+        "rule": "Id1", "principal": None, "height": 0, "premisses": []}}
+    r = run_cli("render", stdin=json.dumps(proof))
+    assert r.returncode == 2
+    assert "nested deeper" in r.stderr and "Traceback" not in r.stderr
+    # too deep for the JSON decoder itself
+    r = run_cli("render", stdin="[" * 100000 + "]" * 100000)
+    assert r.returncode == 2
+    assert "nested too deeply" in r.stderr and "Traceback" not in r.stderr
+
+
+def test_term_at_the_nesting_limit_decides():
+    from morgankit.syntax import MAX_NESTING
+    deep = "~" * MAX_NESTING + "p"
+    r = run_cli("decide", "--calculus", "g3sdm", f"{deep} => {deep}")
+    assert r.returncode == 0 and r.stdout.strip() == "derivable"
+    r = run_cli("prove", "--calculus", "g3dm", f"{deep} => p", "--format", "json")
+    assert r.returncode == 0
+    assert run_cli("render", stdin=r.stdout).returncode == 0

@@ -403,3 +403,44 @@ def test_loopcheck_miss_goal_is_derivable():
 @pytest.mark.parametrize("calc", ["int", "cl"])
 def test_loopcheck_miss_duplicate_disjunction(calc):
     assert SearchEngine().derive(calc, parse_sequent(LOOPCHECK_MISS, calc)) is not None
+
+
+# --- the generalised identity ----------------------------------------------
+
+@pytest.mark.parametrize("calc,seed", [("int", 23), ("cl", 24)])
+def test_generalized_identity_int_cl(calc, seed):
+    import random
+    from morgankit.corpus import random_term
+    cfg = CorpusConfig(seed=seed, max_depth=3)
+    rng = random.Random(seed)
+    eng = SearchEngine()
+    for _ in range(60):
+        a = random_term(rng, cfg, imp=True)
+        gamma = [random_term(rng, cfg, imp=True) for _ in range(rng.randint(0, 3))]
+        goal = sequent(calc, gamma + [a], a)
+        d = eng.derive(calc, goal)
+        assert d is not None and d.sequent == goal, print_sequent(goal)
+        assert check_derivation(calc, d), print_sequent(goal)
+        n = eng.min_height(calc, goal)
+        assert eng.derivable_within_height(calc, goal, n), print_sequent(goal)
+        assert n == 0 or not eng.derivable_within_height(calc, goal, n - 1)
+
+
+# Both goals have the identity shape, and both were refuted through the
+# loop-check miss pinned below before search built their identity
+# derivations directly.
+IDENTITY_PINS = [
+    "p & q & (p | q) & (p | q) => p & q & (p | q) & (p | q)",
+    "q -> r | (p -> r), (q | p) & (p | r) -> (q | p -> F | F)"
+    " => (q | p) & (p | r) -> (q | p -> F | F)",
+]
+
+
+@pytest.mark.parametrize("text", IDENTITY_PINS)
+@pytest.mark.parametrize("calc", ["int", "cl"])
+def test_identity_goals_once_missed(calc, text):
+    goal = parse_sequent(text, calc)
+    d = SearchEngine().derive(calc, goal)
+    assert d is not None and d.sequent == goal and check_derivation(calc, d)
+    assert d.rule in ("&L", "->R")
+    assert min_height(calc, goal) is not None

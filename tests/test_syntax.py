@@ -4,13 +4,14 @@ import pytest
 from hypothesis import given, strategies as st
 
 from morgankit import (
-    BOT, And, Imp, Neg, Or, Var,
+    BOT, And, Imp, Neg, Or, SearchEngine, Var,
     NamespaceError, ParseError,
-    canonical_form, complexity, dm_weight, parse_sequent, parse_term,
-    plain, print_term, sdm_weight, sequent, starred,
-    sequent_from_obj, sequent_to_obj, term_from_obj, term_to_obj,
+    canonical_form, check_derivation, complexity, dm_weight, parse_sequent,
+    parse_term, plain, print_term, proof_from_obj, proof_to_obj, sdm_weight,
+    sequent, starred, sequent_from_obj, sequent_to_obj, term_from_obj,
+    term_to_obj,
 )
-from morgankit.syntax import INT_CL, SDM_DM, parse_partition
+from morgankit.syntax import INT_CL, MAX_NESTING, SDM_DM, parse_partition
 
 p, q, r = Var("p"), Var("q"), Var("r")
 
@@ -188,3 +189,46 @@ def test_complexity_counts_connectives():
     assert complexity(p) == 0
     assert complexity(Neg(And(p, q))) == 2
     assert complexity(starred(Neg(p))) == 2
+
+
+# --- the nesting limit ---------------------------------------------------------
+
+def _negated(n, atom="p"):
+    return "~" * n + atom
+
+
+def test_parse_nesting_limit():
+    with pytest.raises(ParseError) as e:
+        parse_term(_negated(MAX_NESTING + 1))
+    assert e.value.position == 0  # the outermost ~ is the one too deep
+    with pytest.raises(ParseError) as e:
+        parse_term("p" + " & p" * (MAX_NESTING + 1), INT_CL)
+    assert e.value.position == 4 * MAX_NESTING + 2
+    with pytest.raises(ParseError):
+        parse_term("(" * (MAX_NESTING + 1) + "p" + " | p)" * (MAX_NESTING + 1))
+    # parentheses alone add no depth and cost no recursion
+    assert parse_term("(" * 5000 + "p" + ")" * 5000) is p
+
+
+def test_term_from_obj_nesting_limit():
+    obj = {"op": "var", "name": "p"}
+    for _ in range(MAX_NESTING):
+        obj = {"op": "neg", "arg": obj}
+    assert term_from_obj(obj) is parse_term(_negated(MAX_NESTING))
+    with pytest.raises(ValueError, match="nested deeper"):
+        term_from_obj({"op": "and", "left": {"op": "bot"}, "right": obj})
+
+
+def test_term_at_the_limit_is_usable():
+    t = parse_term(_negated(MAX_NESTING))
+    assert print_term(t) == _negated(MAX_NESTING)
+    assert sdm_weight(t) == 1 + 2 * MAX_NESTING
+    assert dm_weight(t) == 1 + MAX_NESTING
+    assert term_from_obj(term_to_obj(t)) is t
+    eng = SearchEngine()
+    for calc, text in (("sdm", f"{print_term(t)} => {print_term(t)}"),
+                       ("dm", f"{print_term(t)} => p")):
+        goal = parse_sequent(text, calc)
+        d = eng.derive(calc, goal)
+        assert d is not None and check_derivation(calc, d)
+        assert proof_from_obj(proof_to_obj(d)).sequent == goal
