@@ -7,13 +7,17 @@ enumerates all algebras of a variety up to isomorphism at small sizes, and
 searches them for counter-witnesses to a sequent.
 
 Enumeration works directly on carriers {0, ..., n-1} with 0 as bottom and
-n-1 as top: every partial order on the middle elements is tried, orders that
-fail to be lattices or distributivity are dropped, then every negation table
-satisfying the variety identities is attached.  Deduplication canonicalises
-over all carrier permutations fixing bottom and top.  Sizes are capped at 6;
-that is desk scale and refutes every non-theorem in the test corpora,
-although no claim is made that small algebras refute every SDM non-theorem,
-so proof search remains the decision authority.
+n-1 as top: every partial order on the middle elements is tried, and each
+order that is a lattice has the lattice laws checked once; only negation
+tables that pass the negation identities on it become algebras.
+Deduplication canonicalises over all carrier permutations fixing bottom and
+top.  Sizes are capped at 6; that is desk scale and refutes every
+non-theorem in the test corpora, although no claim is made that small
+algebras refute every SDM non-theorem, so proof search remains the decision
+authority.
+
+There is one assignment loop, ``_assignments``: ``valid``, ``refute`` and
+the class-registry screen in ``translations`` all walk it.
 """
 
 from __future__ import annotations
@@ -25,9 +29,8 @@ from typing import Optional
 from .terms import (
     DM, SDM, TOP_ALG,
     And, Imp, Neg, Or, Sequent, Term, Var,
-    fold, variables,
+    fold, t_flatten, variables,
 )
-from .translations import t_flatten
 
 ALGEBRA_SCHEMA = "morgan-kit/algebra/v1"
 
@@ -104,13 +107,9 @@ def _tables_from_leq(n, leq):
     return tuple(tuple(r) for r in join), tuple(tuple(r) for r in meet)
 
 
-def check_variety(alg: FiniteAlgebra, variety: str) -> bool:
-    """Exhaustively check the bounded-distributive-lattice and variety identities."""
-    if variety not in (SDM, DM):
-        raise ValueError(f"unknown variety {variety!r}")
-    n, j, m, g = alg.size, alg.join, alg.meet, alg.neg
-    zero, one = alg.zero, alg.one
-    rng = range(n)
+def _lattice_laws(j, m, zero, one) -> bool:
+    """The bounded distributive lattice laws on join/meet tables."""
+    rng = range(len(j))
     for a in rng:
         if j[a][a] != a or m[a][a] != a:
             return False
@@ -132,6 +131,12 @@ def check_variety(alg: FiniteAlgebra, variety: str) -> bool:
                     return False
                 if j[a][m[b][c]] != m[j[a][b]][j[a][c]]:
                     return False
+    return True
+
+
+def _negation_laws(j, m, g, zero, one, variety) -> bool:
+    """The SDM identities for negation g on a lattice, plus the DM extras."""
+    rng = range(len(j))
     if g[zero] != one or g[one] != zero:
         return False
     for a in rng:
@@ -153,6 +158,15 @@ def check_variety(alg: FiniteAlgebra, variety: str) -> bool:
                 if j[a][b] != g[m[g[a]][g[b]]]:
                     return False
     return True
+
+
+def check_variety(alg: FiniteAlgebra, variety: str) -> bool:
+    """Exhaustively check the bounded-distributive-lattice and variety identities."""
+    if variety not in (SDM, DM):
+        raise ValueError(f"unknown variety {variety!r}")
+    j, m, zero, one = alg.join, alg.meet, alg.zero, alg.one
+    return (_lattice_laws(j, m, zero, one)
+            and _negation_laws(j, m, alg.neg, zero, one, variety))
 
 
 def dm4() -> FiniteAlgebra:
@@ -197,17 +211,30 @@ def _flatten_for(s: Sequent):
     raise ValueError("validity is defined for SDM and DM sequents")
 
 
-def valid(s: Sequent, alg: FiniteAlgebra) -> bool:
-    """True iff the flattened inequality holds under every assignment."""
-    lhs, rhs = _flatten_for(s)
-    names = sorted({name for _, name in variables(s)})
-    for values in itertools.product(range(alg.size), repeat=len(names)):
-        assignment = dict(zip(names, values))
+def _assignments(names, size: int):
+    """Every assignment of carrier elements to names, in itertools.product order."""
+    for values in itertools.product(range(size), repeat=len(names)):
+        yield dict(zip(names, values))
+
+
+def _counterexample(lhs: Term, rhs: Term, names, alg: FiniteAlgebra):
+    """The first assignment under which lhs <= rhs fails in alg, or None."""
+    for assignment in _assignments(names, alg.size):
         a = evaluate(lhs, assignment, alg)
         b = evaluate(rhs, assignment, alg)
         if alg.meet[a][b] != a:
-            return False
-    return True
+            return assignment
+    return None
+
+
+def _names(s: Sequent) -> list:
+    return sorted({name for _, name in variables(s)})
+
+
+def valid(s: Sequent, alg: FiniteAlgebra) -> bool:
+    """True iff the flattened inequality holds under every assignment."""
+    lhs, rhs = _flatten_for(s)
+    return _counterexample(lhs, rhs, _names(s), alg) is None
 
 
 def _middle_orders(n: int):
@@ -270,12 +297,12 @@ def enumerate_algebras(variety: str, max_size: int) -> list:
     for n in range(2, max_size + 1):
         for leq in _middle_orders(n):
             join, meet = _tables_from_leq(n, leq)
-            if join is None:
+            if join is None or not _lattice_laws(join, meet, 0, n - 1):
                 continue
-            lattice = FiniteAlgebra(n, join, meet, tuple([0] * n))
-            if not _distributive(lattice):
-                continue
-            for neg in _negations(lattice, variety):
+            for middle in itertools.product(range(n), repeat=n - 2):
+                neg = (n - 1,) + middle + (0,)
+                if not _negation_laws(join, meet, neg, 0, n - 1, variety):
+                    continue
                 alg = FiniteAlgebra(n, join, meet, neg)
                 ck = (n, _canonical_key(alg))
                 if ck not in seen:
@@ -285,35 +312,13 @@ def enumerate_algebras(variety: str, max_size: int) -> list:
     return out
 
 
-def _distributive(alg: FiniteAlgebra) -> bool:
-    n, j, m = alg.size, alg.join, alg.meet
-    for a in range(n):
-        for b in range(n):
-            for c in range(n):
-                if m[a][j[b][c]] != j[m[a][b]][m[a][c]]:
-                    return False
-    return True
-
-
-def _negations(lattice: FiniteAlgebra, variety: str):
-    n = lattice.size
-    for middle in itertools.product(range(n), repeat=n - 2):
-        neg = (n - 1,) + middle + (0,) if n > 2 else (n - 1, 0)
-        cand = FiniteAlgebra(n, lattice.join, lattice.meet, neg)
-        if check_variety(cand, variety):
-            yield neg
-
-
 def refute(s: Sequent, variety: str, max_size: int,
            ) -> Optional[tuple]:
     """First (algebra, assignment) invalidating s among enumerated algebras."""
     lhs, rhs = _flatten_for(s)
-    names = sorted({name for _, name in variables(s)})
+    names = _names(s)
     for alg in enumerate_algebras(variety, max_size):
-        for values in itertools.product(range(alg.size), repeat=len(names)):
-            assignment = dict(zip(names, values))
-            a = evaluate(lhs, assignment, alg)
-            b = evaluate(rhs, assignment, alg)
-            if alg.meet[a][b] != a:
-                return alg, assignment
+        assignment = _counterexample(lhs, rhs, names, alg)
+        if assignment is not None:
+            return alg, assignment
     return None

@@ -1,7 +1,8 @@
 """Command-line entry point.
 
 Exit status: 0 success / derivable / valid; 1 not derivable / refuted;
-2 parse errors (with position diagnostics); 3 internal check failures.
+2 input errors: parse errors (with position diagnostics), usage errors and
+files that cannot be read or written; 3 internal check failures.
 Batch mode reads one sequent per line from stdin and emits JSON lines.
 """
 
@@ -26,7 +27,7 @@ def _parse_sequent(text: str, calculus: str):
 def _cmd_decide(args) -> int:
     calc = normalize_calculus(args.calculus)
     if args.batch:
-        return _batch(calc, render_proof=False, fmt=args.format)
+        return _batch(calc, render_proof=False)
     goal = _parse_sequent(args.sequent, calc)
     if search.derivable(calc, goal):
         print("derivable")
@@ -38,7 +39,7 @@ def _cmd_decide(args) -> int:
 def _cmd_prove(args) -> int:
     calc = normalize_calculus(args.calculus)
     if args.batch:
-        return _batch(calc, render_proof=True, fmt=args.format)
+        return _batch(calc, render_proof=True)
     goal = _parse_sequent(args.sequent, calc)
     if args.height is not None:
         d = search.default_engine().derive_within_height(calc, goal, args.height)
@@ -54,7 +55,7 @@ def _cmd_prove(args) -> int:
     return EXIT_OK
 
 
-def _batch(calc: str, render_proof: bool, fmt: str) -> int:
+def _batch(calc: str, render_proof: bool) -> int:
     for line in sys.stdin:
         line = line.strip()
         if not line:
@@ -192,7 +193,11 @@ def _cmd_algebra(args) -> int:
 
 
 def _cmd_render(args) -> int:
-    data = sys.stdin.read() if args.input == "-" else open(args.input).read()
+    if args.input == "-":
+        data = sys.stdin.read()
+    else:
+        with open(args.input) as fh:
+            data = fh.read()
     try:
         obj = json.loads(data)
     except RecursionError:
@@ -229,7 +234,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("sequent", nargs="?")
     p.add_argument("--batch", action="store_true")
     p.add_argument("--format", default="ascii", choices=["ascii", "latex", "json"])
-    p.set_defaults(func=_cmd_decide)
+    p.set_defaults(func=_cmd_decide, usage_error=p.error)
 
     p = sub.add_parser("prove", help="print a derivation or NOT DERIVABLE")
     add_calculus(p)
@@ -237,7 +242,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--batch", action="store_true")
     p.add_argument("--height", type=int, default=None)
     p.add_argument("--format", default="ascii", choices=["ascii", "latex", "json"])
-    p.set_defaults(func=_cmd_prove)
+    p.set_defaults(func=_cmd_prove, usage_error=p.error)
 
     p = sub.add_parser("interpolate", help='partition syntax: "G1 ; G2 => b"')
     add_calculus(p)
@@ -292,6 +297,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
+    if args.command in ("decide", "prove") and not args.batch and args.sequent is None:
+        args.usage_error("a sequent is required unless --batch is given")
     try:
         return args.func(args)
     except ParseError as e:
@@ -300,7 +307,7 @@ def main(argv=None) -> int:
     except (search.InvalidDerivationError, AssertionError) as e:
         print(f"check failure: {e}", file=sys.stderr)
         return EXIT_INTERNAL
-    except ValueError as e:
+    except (ValueError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_PARSE
 

@@ -204,6 +204,18 @@ def fold(ctor, items, empty):
     return acc
 
 
+def t_flatten(x) -> Term:
+    """Flatten a basic structure or SDM antecedent to a term (left & fold)."""
+    if isinstance(x, Struct):
+        return Neg(x.term) if x.star else x.term
+    if isinstance(x, Term):
+        return x
+    if isinstance(x, Sequent):
+        return t_flatten(x.antecedent)
+    members = [t_flatten(m) for m in x]
+    return fold(And, members, TOP_ALG)
+
+
 class Struct:
     """A basic SDM-structure: a term, optionally under the structural star.
 

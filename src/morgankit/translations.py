@@ -1,7 +1,8 @@
 """The five syntactic translations and the embedding-verification harness.
 
 * ``t_flatten``     -- structure flattening: *phi reads as ~phi, multisets
-                       fold with & (empty antecedent gives T).
+                       fold with & (empty antecedent gives T); defined in
+                       ``terms`` and re-exported here.
 * ``f_godel_gentzen`` -- double-negates atoms and disjunctions; a DM
                        antecedent folds into a single conjunction.
 * ``double_negate`` -- prefixes ~~ memberwise.
@@ -23,24 +24,14 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Optional
 
+from .algebras import _assignments, enumerate_algebras, evaluate
 from .search import SearchEngine, default_engine
+from .syntax import print_sequent, print_term
 from .terms import (
     BOT, CL, CLASS, DM, INT, PRIMED, DOUBLED, SDM, TOP_ALG, TOP_IMP,
     And, Imp, Neg, Or, Sequent, Struct, Term, Var,
-    fold, is_alg_term, neg_count, plain, sequent, size, variables,
+    fold, is_alg_term, neg_count, plain, sequent, size, t_flatten, variables,
 )
-
-
-def t_flatten(x) -> Term:
-    """Flatten a basic structure or SDM antecedent to a term (left & fold)."""
-    if isinstance(x, Struct):
-        return Neg(x.term) if x.star else x.term
-    if isinstance(x, Term):
-        return x
-    if isinstance(x, Sequent):
-        return t_flatten(x.antecedent)
-    members = [t_flatten(m) for m in x]
-    return fold(And, members, TOP_ALG)
 
 
 def t_sequent(s: Sequent) -> Sequent:
@@ -107,21 +98,13 @@ class ClassRegistry:
         self.entries: list = []            # (representative, Var) in insertion order
         self._by_term: dict = {}
         self._pair_cache: dict = {}
-        self._screen = None
 
-    def _screen_algebras(self):
-        if self._screen is None:
-            from .algebras import enumerate_algebras
-            self._screen = enumerate_algebras(SDM, 4)
-        return self._screen
-
-    def _semantically_apart(self, a: Term, b: Term) -> bool:
-        from .algebras import evaluate
+    @staticmethod
+    def _semantically_apart(a: Term, b: Term) -> bool:
         names = sorted({n for _, n in variables(a) | variables(b)})
-        for alg in self._screen_algebras():
-            for assign in _assignments(alg, names):
-                va, vb = evaluate(a, assign, alg), evaluate(b, assign, alg)
-                if va != vb:
+        for alg in enumerate_algebras(SDM, 4):
+            for assign in _assignments(names, alg.size):
+                if evaluate(a, assign, alg) != evaluate(b, assign, alg):
                     return True
         return False
 
@@ -157,7 +140,6 @@ class ClassRegistry:
         return var
 
     def as_obj(self) -> dict:
-        from .syntax import print_term
         return {
             "schema": "morgan-kit/registry/v1",
             "entries": [
@@ -165,15 +147,6 @@ class ClassRegistry:
                 for rep, var in self.entries
             ],
         }
-
-
-def _assignments(alg, names):
-    if not names:
-        yield {}
-        return
-    import itertools
-    for values in itertools.product(range(alg.size), repeat=len(names)):
-        yield dict(zip(names, values))
 
 
 def k_to_int(phi: Term, reg: ClassRegistry) -> Term:
@@ -307,7 +280,6 @@ class EmbeddingReport:
         return self.variant_agreements / self.variant_total if self.variant_total else 1.0
 
     def record(self, s: Sequent, source: bool, target: bool):
-        from .syntax import print_sequent
         self.total += 1
         if source == target:
             self.agreements += 1
@@ -323,10 +295,8 @@ def check_embedding(kind: str, corpus, engine: Optional[SearchEngine] = None,
         raise ValueError(f"unknown embedding kind {kind!r}")
     eng = engine or default_engine()
     report = EmbeddingReport(kind)
-    if kind == "sdm-to-int-k" and registry is None:
+    if kind in ("sdm-to-int-k", "diagram") and registry is None:
         registry = ClassRegistry(eng)    # one registry per invocation
-    if kind == "diagram" and registry is None:
-        registry = ClassRegistry(eng)
     source = EMBEDDING_KINDS[kind]
     for s in corpus:
         if s.calculus != source:

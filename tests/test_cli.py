@@ -175,3 +175,35 @@ def test_term_at_the_nesting_limit_decides():
     r = run_cli("prove", "--calculus", "g3dm", f"{deep} => p", "--format", "json")
     assert r.returncode == 0
     assert run_cli("render", stdin=r.stdout).returncode == 0
+
+
+def test_decide_without_sequent_is_usage_error():
+    r = run_cli("decide", "--calculus", "g3sdm")
+    assert r.returncode == 2
+    assert "usage:" in r.stderr and "Traceback" not in r.stderr
+
+
+def test_prove_without_sequent_is_usage_error():
+    r = run_cli("prove", "--calculus", "g3dm", "--height", "3")
+    assert r.returncode == 2
+    assert "usage:" in r.stderr and "Traceback" not in r.stderr
+
+
+def test_render_missing_file_is_exit_2(tmp_path):
+    r = run_cli("render", str(tmp_path / "missing.json"))
+    assert r.returncode == 2
+    assert "missing.json" in r.stderr and "Traceback" not in r.stderr
+
+
+def test_check_embedding_missing_input_is_exit_2(tmp_path):
+    r = run_cli("check-embedding", "--kind", "dm-to-cl-h",
+                "--input", str(tmp_path / "missing.txt"))
+    assert r.returncode == 2
+    assert "missing.txt" in r.stderr and "Traceback" not in r.stderr
+
+
+def test_translate_unwritable_registry_is_exit_2(tmp_path):
+    reg = tmp_path / "no-such-dir" / "registry.json"
+    r = run_cli("translate", "--map", "k", "~~(p | q)", "--registry", str(reg))
+    assert r.returncode == 2
+    assert "registry.json" in r.stderr and "Traceback" not in r.stderr
