@@ -27,9 +27,9 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .terms import (
-    DM, SDM, TOP_ALG,
+    DM, SDM,
     And, Imp, Neg, Or, Sequent, Term, Var,
-    fold, t_flatten, variables,
+    t_flatten, variables,
 )
 
 ALGEBRA_SCHEMA = "morgan-kit/algebra/v1"
@@ -204,11 +204,9 @@ def evaluate(phi: Term, assignment: dict, alg: FiniteAlgebra) -> int:
 
 
 def _flatten_for(s: Sequent):
-    if s.calculus == SDM:
-        return t_flatten(s.antecedent), t_flatten(s.succedent)
-    if s.calculus == DM:
-        return fold(And, list(s.antecedent), TOP_ALG), s.succedent
-    raise ValueError("validity is defined for SDM and DM sequents")
+    if s.calculus not in (SDM, DM):
+        raise ValueError("validity is defined for SDM and DM sequents")
+    return t_flatten(s.antecedent), t_flatten(s.succedent)
 
 
 def _assignments(names, size: int):

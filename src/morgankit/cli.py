@@ -3,7 +3,8 @@
 Exit status: 0 success / derivable / valid; 1 not derivable / refuted;
 2 input errors: parse errors (with position diagnostics), usage errors and
 files that cannot be read or written; 3 internal check failures.
-Batch mode reads one sequent per line from stdin and emits JSON lines.
+Batch mode reads one sequent per line from stdin and emits JSON lines; it
+takes no sequent argument, --height or --format (each a usage error).
 """
 
 from __future__ import annotations
@@ -51,7 +52,7 @@ def _cmd_prove(args) -> int:
     if not search.check_derivation(calc, d):
         print("internal error: produced derivation failed checking", file=sys.stderr)
         return EXIT_INTERNAL
-    print(search.render(d, args.format))
+    print(search.render(d, args.format or "ascii"))
     return EXIT_OK
 
 
@@ -233,7 +234,6 @@ def build_parser() -> argparse.ArgumentParser:
     add_calculus(p)
     p.add_argument("sequent", nargs="?")
     p.add_argument("--batch", action="store_true")
-    p.add_argument("--format", default="ascii", choices=["ascii", "latex", "json"])
     p.set_defaults(func=_cmd_decide, usage_error=p.error)
 
     p = sub.add_parser("prove", help="print a derivation or NOT DERIVABLE")
@@ -241,7 +241,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("sequent", nargs="?")
     p.add_argument("--batch", action="store_true")
     p.add_argument("--height", type=int, default=None)
-    p.add_argument("--format", default="ascii", choices=["ascii", "latex", "json"])
+    # None when not given, so that --batch can reject an explicit one
+    p.add_argument("--format", default=None, choices=["ascii", "latex", "json"],
+                   help="default: ascii")
     p.set_defaults(func=_cmd_prove, usage_error=p.error)
 
     p = sub.add_parser("interpolate", help='partition syntax: "G1 ; G2 => b"')
@@ -297,8 +299,14 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    if args.command in ("decide", "prove") and not args.batch and args.sequent is None:
-        args.usage_error("a sequent is required unless --batch is given")
+    if args.command in ("decide", "prove"):
+        if not args.batch and args.sequent is None:
+            args.usage_error("a sequent is required unless --batch is given")
+        for name, shown in (("sequent", "sequent"), ("height", "--height"),
+                            ("format", "--format")):
+            if args.batch and getattr(args, name, None) is not None:
+                args.usage_error(f"--batch takes no {shown}: it reads sequents "
+                                 "from stdin and writes JSON lines")
     try:
         return args.func(args)
     except ParseError as e:

@@ -2,14 +2,17 @@
 
 A partition splits the antecedent multiset of a derivable goal into a left
 part and a right part (the succedent always belongs to the right).  The
-extractor walks the derivation: axioms pick an atom, F, T or *F depending on
-which side the principal occurrence fell; single-premiss rules pass the
-child interpolant through; branching rules join the child interpolants with
-& (principal on the right, or any right rule) or | (branching left rule with
-its principal on the left); the star rule interpolates its premiss and
-re-stars the result.  SDM interpolants are basic structures, DM interpolants
-terms; when children must be joined, starred child interpolants are first
-flattened to their negation reading.
+extractor reads a partition as the multiset of its left occurrences; among
+equal members the left copies come first.  It walks the derivation: a left
+rule's premiss puts the members the rule inserted on its principal's side;
+axioms pick an atom, F, T or *F depending on which side the principal
+occurrence fell; single-premiss rules pass the child interpolant through;
+branching rules join the child interpolants with & (principal on the right,
+or any right rule) or | (branching left rule with its principal on the
+left); the star rule interpolates its premiss and re-stars the result.  SDM
+interpolants are basic structures, DM interpolants terms; when children must
+be joined, starred child interpolants are first flattened to their negation
+reading.
 
 The star family (``*0``, ``*1``, ``*n``) has the G3DM premiss
 phi => psi_1 | ... | psi_k, whose disjuncts are split between the sides.
@@ -26,6 +29,7 @@ vocabulary.  Interpolants are not simplified afterwards.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from typing import Optional
 
@@ -36,8 +40,8 @@ from .search import (
 )
 from .terms import (
     BOT, DM, SDM, TOP_ALG,
-    And, Neg, Or, Sequent, Struct, Term,
-    fold, plain, sequent, starred, variables,
+    And, Neg, Or, Sequent, Struct,
+    fold, plain, sequent, starred, t_flatten, variables,
 )
 
 
@@ -63,63 +67,34 @@ class InterpolationResult:
     right_derivation: Derivation
 
 
-def _sides_for(goal: Sequent, part: Partition) -> tuple:
-    """Assign 'L'/'R' to each canonical antecedent position (left-first)."""
-    remaining: dict = {}
-    for m in part.left:
-        remaining[m] = remaining.get(m, 0) + 1
-    right_needed: dict = {}
-    for m in part.right:
-        right_needed[m] = right_needed.get(m, 0) + 1
-    sides = []
-    for m in goal.antecedent:
-        if remaining.get(m, 0) > 0:
-            remaining[m] -= 1
-            sides.append("L")
-        elif right_needed.get(m, 0) > 0:
-            right_needed[m] -= 1
-            sides.append("R")
-        else:
-            raise PartitionMismatchError(
-                "partition members do not cover the antecedent")
-    if any(v for v in remaining.values()) or any(v for v in right_needed.values()):
-        raise PartitionMismatchError("partition has members beyond the antecedent")
-    return tuple(sides)
+def _sides_for(goal: Sequent, part: Partition) -> Counter:
+    """The left part as a multiset, once the parts make up the antecedent."""
+    try:
+        if Sequent(goal.calculus, part.left + part.right, goal.succedent) == goal:
+            return Counter(part.left)
+    except AttributeError:   # a member that is neither a term nor a structure
+        pass
+    raise PartitionMismatchError("partition members do not make up the antecedent")
 
 
-def _realign(members_with_sides, child_ant) -> tuple:
-    """Match (member, side) pairs to the child's canonical antecedent order."""
-    pool: dict = {}
-    for m, s in members_with_sides:
-        pool.setdefault(m, []).append(s)
-    for sides in pool.values():
-        sides.sort()  # 'L' before 'R': deterministic among equal members
-    out = []
-    for m in child_ant:
-        out.append(pool[m].pop(0))
-    return tuple(out)
+def _on_left(ant: tuple, i: int, left: Counter) -> bool:
+    """Whether position i of a canonical antecedent lies on the left: among
+    equal members, which sit side by side, the left copies come first."""
+    m = ant[i]
+    return i - ant.index(m) < left[m]
 
 
-def _child_sides(node: Derivation, sides, child: Derivation, removed: int,
-                 inserted_count: int) -> tuple:
-    """Sides for a child whose antecedent replaces one occurrence by new members."""
+def _child_left(node: Derivation, left: Counter, child: Derivation) -> Counter:
+    """The left multiset of a left rule's premiss: the members the rule
+    inserted in place of its principal take the principal's side."""
     ant = node.sequent.antecedent
-    pairs = [(m, s) for i, (m, s) in enumerate(zip(ant, sides)) if i != removed]
-    side = sides[removed]
-    child_ant = child.sequent.antecedent
-    new_members = list(child_ant)
-    for m, _ in pairs:
-        new_members.remove(m)
-    assert len(new_members) == inserted_count
-    pairs.extend((m, side) for m in new_members)
-    return _realign(pairs, child_ant)
-
-
-def _flat_term(i) -> Term:
-    """The negation reading of a basic structure; identity on terms."""
-    if isinstance(i, Struct):
-        return Neg(i.term) if i.star else i.term
-    return i
+    if not _on_left(ant, node.principal, left):
+        return left
+    # left - principal + (child - (ant - principal)) = left + child - ant
+    out = Counter(left)
+    out.update(child.sequent.antecedent)
+    out.subtract(ant)
+    return out
 
 
 _SINGLE_LEFT = {"&=>", "~=>", "*|=>", "*~&=>", "*~~=>", "~|=>", "~~=>"}
@@ -128,39 +103,24 @@ _SINGLE_RIGHT = {"=>|1", "=>|2", "=>~", "=>*~~", "=>~&1", "=>~&2", "=>~~"}
 _BRANCH_RIGHT = {"=>&", "=>*|", "=>*~&", "=>~|"}
 
 
-def _extract(node: Derivation, sides: tuple, sdm: bool):
+def _extract(node: Derivation, left: Counter, sdm: bool):
     rule = node.rule
     ant = node.sequent.antecedent
 
-    if rule in ("Id", "Id1"):
+    if rule in ("Id", "Id1", "Id2"):
         succ = node.sequent.succedent
-        v = succ.term if sdm else succ
-        for i, m in enumerate(ant):
-            hit = (not m.star and m.term == v) if sdm else m == v
-            if hit and sides[i] == "L":
-                return plain(v) if sdm else v
+        if left[succ]:
+            return succ
         return starred(BOT) if sdm else TOP_ALG
-
-    if rule == "Id2":
-        succ = node.sequent.succedent
-        for i, m in enumerate(ant):
-            if m == succ and sides[i] == "L":
-                return succ
-        return TOP_ALG
 
     if rule == "Bot=>":
         bot = plain(BOT) if sdm else BOT
-        for i, m in enumerate(ant):
-            if m == bot and sides[i] == "L":
-                return bot
+        if left[bot]:
+            return bot
         return plain(TOP_ALG) if sdm else TOP_ALG
 
     if rule == "*~Bot=>":
-        marker = starred(Neg(BOT))
-        for i, m in enumerate(ant):
-            if m == marker and sides[i] == "L":
-                return plain(BOT)
-        return plain(TOP_ALG)
+        return plain(BOT) if left[starred(Neg(BOT))] else plain(TOP_ALG)
 
     if rule == "=>*Bot":
         return starred(BOT)
@@ -170,40 +130,33 @@ def _extract(node: Derivation, sides: tuple, sdm: bool):
 
     if rule == "*":
         # premiss phi => psi, conclusion *psi, Gamma => *phi
-        child = node.children[0]
-        i = node.principal
-        if sides[i] == "R":
+        if not _on_left(ant, node.principal, left):
             return starred(BOT)
-        inner = _extract(child, ("L",), sdm)
-        return starred(_flat_term(inner))
+        child = node.children[0]
+        inner = _extract(child, Counter(child.sequent.antecedent), sdm)
+        return starred(t_flatten(inner))
 
     if rule in STAR_FAMILY:
         # premiss phi => psi_1 | ... | psi_k, conclusion *psi_1, ..., Gamma => *phi
         used = star_family_used(rule, node.principal)
-        tree = fold(_merge, [sides[i] for i in used], "R")
-        return starred(_split(node.children[0], tree))
+        sides = ["L" if _on_left(ant, i, left) else "R" for i in used]
+        return starred(_split(node.children[0], fold(_merge, sides, "R")))
 
     if rule in _SINGLE_LEFT:
         child = node.children[0]
-        inserted = len(child.sequent.antecedent) - len(ant) + 1
-        csides = _child_sides(node, sides, child, node.principal, inserted)
-        return _extract(child, csides, sdm)
+        return _extract(child, _child_left(node, left, child), sdm)
 
     if rule in _SINGLE_RIGHT:
-        return _extract(node.children[0], sides, sdm)
+        return _extract(node.children[0], left, sdm)
 
     if rule in _BRANCH_LEFT:
-        i = node.principal
-        parts = []
-        for child in node.children:
-            inserted = len(child.sequent.antecedent) - len(ant) + 1
-            csides = _child_sides(node, sides, child, i, inserted)
-            parts.append(_flat_term(_extract(child, csides, sdm)))
-        joined = Or(*parts) if sides[i] == "L" else And(*parts)
+        parts = [t_flatten(_extract(c, _child_left(node, left, c), sdm))
+                 for c in node.children]
+        joined = (Or if _on_left(ant, node.principal, left) else And)(*parts)
         return plain(joined) if sdm else joined
 
     if rule in _BRANCH_RIGHT:
-        parts = [_flat_term(_extract(c, sides, sdm)) for c in node.children]
+        parts = [t_flatten(_extract(c, left, sdm)) for c in node.children]
         joined = And(*parts)
         return plain(joined) if sdm else joined
 
@@ -227,7 +180,7 @@ def _split(node: Derivation, tree):
     if tree == "R":
         return BOT
     if tree == "L":
-        return _extract(node, ("L",) * len(node.sequent.antecedent), False)
+        return _extract(node, Counter(node.sequent.antecedent), False)
     rule = node.rule
     if rule == "Bot=>":
         return BOT
@@ -248,12 +201,11 @@ def interpolate(calculus: str, d: Derivation, part: Partition,
     ok, diag = check_derivation_report(calculus, d)
     if not ok:
         raise ValueError(f"derivation fails checking: {diag}")
-    sides = _sides_for(d.sequent, part)
-    candidate = _extract(d, sides, calculus == SDM)
+    left = _sides_for(d.sequent, part)
+    candidate = _extract(d, left, calculus == SDM)
     eng = engine or default_engine()
     left_goal = sequent(calculus, part.left, candidate)
-    right_member = candidate
-    right_goal = sequent(calculus, part.right + (right_member,), d.sequent.succedent)
+    right_goal = sequent(calculus, part.right + (candidate,), d.sequent.succedent)
     left_d = eng.derive(calculus, left_goal)
     right_d = eng.derive(calculus, right_goal)
     if left_d is None or right_d is None:

@@ -63,9 +63,9 @@ from .calculi import (
     CalculusMismatchError, RuleInstance, invertible,
     iter_g3ip, iter_instances,
 )
-from .syntax import print_sequent, sequent_from_obj, sequent_to_obj
+from .syntax import _LATEX, _sequent_text, print_sequent, sequent_from_obj, sequent_to_obj
 from .terms import (
-    CL, DM, INT, SDM, And, Imp, Neg, Or, Sequent, Struct, Var, variables,
+    CL, DM, INT, SDM, And, Imp, Or, Sequent, Var, variables,
 )
 
 PROOF_SCHEMA = "morgan-kit/proof/v1"
@@ -551,44 +551,6 @@ _LATEX_LABELS = {
 }
 
 
-def _term_latex(t, prec: int, right: bool) -> str:
-    ty = type(t)
-    if ty is Var:
-        base = t.name
-        if t.ns == "primed":
-            return base + "'"
-        if t.ns == "doubled":
-            return base + "''"
-        if t.ns == "class":
-            return r"\mathit{" + base + "}"
-        return base
-    if ty is Neg:
-        return r"\lnot " + _term_latex(t.arg, 3, False)
-    if ty is And:
-        own, op = 2, r" \wedge "
-    elif ty is Or:
-        own, op = 1, r" \vee "
-    elif ty is Imp:
-        own, op = 0, r" \supset "
-    else:
-        return r"\bot"
-    s = _term_latex(t.left, own, False) + op + _term_latex(t.right, own, True)
-    return "(" + s + ")" if (own < prec or (own == prec and right)) else s
-
-
-def _member_latex(m) -> str:
-    if isinstance(m, Struct) and m.star:
-        return r"{\ast}" + _term_latex(m.term, 3, False)
-    t = m.term if isinstance(m, Struct) else m
-    return _term_latex(t, 0, False)
-
-
-def _sequent_latex(s: Sequent) -> str:
-    ants = ", ".join(_member_latex(m) for m in s.antecedent)
-    arrow = r" \Rightarrow "
-    return (ants + arrow if ants else arrow.lstrip()) + _member_latex(s.succedent)
-
-
 def _ascii_lines(d: Derivation, depth: int, out: list):
     for c in d.children:
         _ascii_lines(c, depth + 1, out)
@@ -666,7 +628,7 @@ def render(d: Derivation, format: str = "ascii") -> str:
                 infer = r"\BinaryInfC"
             label = _LATEX_LABELS.get(node.rule, node.rule)
             lines.append(r"\RightLabel{\scriptsize $" + label + "$}")
-            lines.append(infer + "{$" + _sequent_latex(node.sequent) + "$}")
+            lines.append(infer + "{$" + _sequent_text(node.sequent, _LATEX) + "$}")
 
         emit(d)
         lines.append(r"\end{prooftree}")

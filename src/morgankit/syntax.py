@@ -23,6 +23,7 @@ rejected in SDM/DM input.
 from __future__ import annotations
 
 import re
+from collections import namedtuple
 
 from .terms import (
     BASE, BOT, CLASS, DM, DOUBLED, PRIMED, SDM,
@@ -270,31 +271,39 @@ def parse_partition(text: str, calculus: str):
 # --- printing ----------------------------------------------------------
 
 
-def _var_text(v: Var) -> str:
+# The tokens of one notation; both notations share the precedences and the
+# parenthesis rule.  class_var formats the name of a #k class variable.
+_Notation = namedtuple("_Notation", "neg conj disj imp bot star arrow class_var")
+_ASCII = _Notation("~", " & ", " | ", " -> ", "F", "*", "=>", "#{}")
+_LATEX = _Notation(r"\lnot ", r" \wedge ", r" \vee ", r" \supset ", r"\bot",
+                   r"{\ast}", r"\Rightarrow", r"\mathit{{{}}}")
+
+
+def _var_text(v: Var, n: _Notation) -> str:
     if v.ns == BASE:
         return v.name
     if v.ns == PRIMED:
         return v.name + "'"
     if v.ns == DOUBLED:
         return v.name + "''"
-    return "#" + v.name
+    return n.class_var.format(v.name)
 
 
-def _print(t: Term, prec: int, right: bool) -> str:
+def _print(t: Term, prec: int, right: bool, n: _Notation = _ASCII) -> str:
     ty = type(t)
     if ty is Var:
-        return _var_text(t)
+        return _var_text(t, n)
     if ty is Neg:
-        return "~" + _print(t.arg, _PREC_UNARY, False)
+        return n.neg + _print(t.arg, _PREC_UNARY, False, n)
     if ty is And:
-        own, op = _PREC_AND, " & "
+        own, op = _PREC_AND, n.conj
     elif ty is Or:
-        own, op = _PREC_OR, " | "
+        own, op = _PREC_OR, n.disj
     elif ty is Imp:
-        own, op = _PREC_IMP, " -> "
+        own, op = _PREC_IMP, n.imp
     else:
-        return "F"
-    s = _print(t.left, own, False) + op + _print(t.right, own, True)
+        return n.bot
+    s = _print(t.left, own, False, n) + op + _print(t.right, own, True, n)
     if own < prec or (own == prec and right):
         return "(" + s + ")"
     return s
@@ -305,19 +314,26 @@ def print_term(t: Term) -> str:
     return _print(t, _PREC_IMP, False)
 
 
-def print_structure(s) -> str:
+def _structure_text(s, n: _Notation) -> str:
     if isinstance(s, Struct):
         if s.star:
-            inner = _print(s.term, _PREC_UNARY, False)
-            return "*" + inner
-        return print_term(s.term)
-    return print_term(s)
+            return n.star + _print(s.term, _PREC_UNARY, False, n)
+        s = s.term
+    return _print(s, _PREC_IMP, False, n)
+
+
+def print_structure(s) -> str:
+    return _structure_text(s, _ASCII)
+
+
+def _sequent_text(s: Sequent, n: _Notation) -> str:
+    ants = ", ".join(_structure_text(m, n) for m in s.antecedent)
+    succ = _structure_text(s.succedent, n)
+    return f"{ants} {n.arrow} {succ}" if ants else f"{n.arrow} {succ}"
 
 
 def print_sequent(s: Sequent) -> str:
-    ants = ", ".join(print_structure(m) for m in s.antecedent)
-    succ = print_structure(s.succedent)
-    return f"{ants} => {succ}" if ants else f"=> {succ}"
+    return _sequent_text(s, _ASCII)
 
 
 # --- JSON AST encoding (morgan-kit/ast/v1) ------------------------------

@@ -457,25 +457,6 @@ def complexity(x) -> int:
     return 1 + complexity(x.left) + complexity(x.right)
 
 
-def neg_count(t: Term) -> int:
-    """Number of ~ occurrences; the primary component of k's termination measure."""
-    ty = type(t)
-    if ty is Var or ty is _Bottom:
-        return 0
-    if ty is Neg:
-        return 1 + neg_count(t.arg)
-    return neg_count(t.left) + neg_count(t.right)
-
-
-def size(t: Term) -> int:
-    ty = type(t)
-    if ty is Var or ty is _Bottom:
-        return 1
-    if ty is Neg:
-        return 1 + size(t.arg)
-    return 1 + size(t.left) + size(t.right)
-
-
 def variables(x) -> frozenset:
     """The set of (namespace, name) pairs occurring in x."""
     out = set()

@@ -29,8 +29,8 @@ from .search import SearchEngine, default_engine
 from .syntax import print_sequent, print_term
 from .terms import (
     BOT, CL, CLASS, DM, INT, PRIMED, DOUBLED, SDM, TOP_ALG, TOP_IMP,
-    And, Imp, Neg, Or, Sequent, Struct, Term, Var,
-    fold, is_alg_term, neg_count, plain, sequent, size, t_flatten, variables,
+    And, Imp, Neg, Or, Sequent, Term, Var,
+    dm_weight, fold, is_alg_term, plain, sequent, t_flatten, variables,
 )
 
 
@@ -156,12 +156,11 @@ def k_to_int(phi: Term, reg: ClassRegistry) -> Term:
     return _k(phi, reg, None)
 
 
-def _measure(t: Term):
-    return (neg_count(t), size(t))
-
-
 def _k(phi: Term, reg: ClassRegistry, bound) -> Term:
-    m = _measure(phi)
+    # dm_weight falls on every recursive call, the rewriting ones included:
+    # ~(x | y) -> ~x, ~(~a & ~b) -> ~~(a | b), ~~(y & z) -> ~~y,
+    # ~~(~a | ~b) -> ~(a & b) and ~~~z -> ~z.
+    m = dm_weight(phi)
     assert bound is None or m < bound, "k recursion measure failed to decrease"
     ty = type(phi)
     if ty is Var:
@@ -203,9 +202,7 @@ def _k(phi: Term, reg: ClassRegistry, bound) -> Term:
 
 
 def k_member(m, reg: ClassRegistry) -> Term:
-    if isinstance(m, Struct):
-        return _k(Neg(m.term), reg, None) if m.star else _k(m.term, reg, None)
-    return _k(m, reg, None)
+    return _k(t_flatten(m), reg, None)
 
 
 def k_sequent(s: Sequent, reg: ClassRegistry) -> Sequent:
@@ -323,11 +320,7 @@ def check_embedding(kind: str, corpus, engine: Optional[SearchEngine] = None,
             src = eng.derivable(CL, s)
             tgt = eng.derivable(INT, g_sequent(s))
         else:  # diagram
-            gh = g_sequent(h_sequent(s))
-            kf = f_sequent(s)
-            kf_int = sequent(INT, [k_member(m, registry) for m in kf.antecedent],
-                             k_member(kf.succedent, registry))
-            src = eng.derivable(INT, gh)
-            tgt = eng.derivable(INT, kf_int)
+            src = eng.derivable(INT, g_sequent(h_sequent(s)))
+            tgt = eng.derivable(INT, k_sequent(f_sequent(s), registry))
         report.record(s, src, tgt)
     return report

@@ -82,6 +82,37 @@ def test_batch_mode_jsonl():
     assert "error" in lines[2]
 
 
+# --batch reads sequents from stdin and always writes JSON lines, so every
+# argument it would ignore is a usage error.
+def test_batch_rejects_a_sequent_argument():
+    for cmd in ("decide", "prove"):
+        r = run_cli(cmd, "--batch", "p => p", stdin="p => p\n")
+        assert r.returncode == 2, cmd
+        assert "--batch takes no sequent" in r.stderr and r.stdout == ""
+
+
+def test_batch_rejects_height():
+    r = run_cli("prove", "--batch", "--height", "3", stdin="p => p\n")
+    assert r.returncode == 2
+    assert "--batch takes no --height" in r.stderr and r.stdout == ""
+
+
+def test_batch_rejects_an_explicit_format():
+    for fmt in ("ascii", "latex", "json"):
+        r = run_cli("prove", "--batch", "--format", fmt, stdin="p => p\n")
+        assert r.returncode == 2, fmt
+        assert "--batch takes no --format" in r.stderr and r.stdout == ""
+    r = run_cli("prove", "--batch", stdin="p => p\n")
+    assert r.returncode == 0
+    assert json.loads(r.stdout)["proof"]["schema"] == "morgan-kit/proof/v1"
+
+
+def test_decide_has_no_format():
+    r = run_cli("decide", "p => p", "--format", "ascii")
+    assert r.returncode == 2
+    assert "--format" in r.stderr
+
+
 def test_translate_f_pin():
     r = run_cli("translate", "--map", "f", "p | q")
     assert r.returncode == 0

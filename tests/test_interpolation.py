@@ -1,9 +1,11 @@
+import hashlib
+
 import pytest
 
 from morgankit import (
     BOT, Neg, Or, SearchEngine, Var,
-    all_partitions, derive, interpolate, parse_sequent, plain,
-    print_sequent, starred, t_flatten,
+    all_partitions, derive, interpolate, parse_partition, parse_sequent, plain,
+    print_sequent, print_structure, sequent, starred, t_flatten,
     verify_interpolant, Partition, PartitionMismatchError,
 )
 from morgankit.calculi import STAR_FAMILY
@@ -91,6 +93,11 @@ def test_partition_must_match():
         interpolate("sdm", d, Partition.of([plain(p)], []))
     assert not verify_interpolant(
         "sdm", s, Partition.of([plain(p)], []), plain(p))
+    # members that are not structures, and members that are not even terms
+    for left, right in (([p], [q]), (["p"], ["q"])):
+        with pytest.raises(PartitionMismatchError):
+            interpolate("sdm", d, Partition.of(left, right))
+        assert not verify_interpolant("sdm", s, Partition.of(left, right), plain(p))
 
 
 def test_derivation_must_check():
@@ -160,3 +167,56 @@ def test_verify_accepts_top_for_empty_left():
     part = Partition.of([], [plain(Var("p"))])
     assert verify_interpolant("sdm", s, part, plain(TOP_ALG))
     assert verify_interpolant("sdm", s, part, starred(BOT))
+
+
+# --- interpolants pinned across refactors of the side bookkeeping ---------
+
+# Duplicated members split across the partition: among equal members the
+# left copies come first, and that decides which occurrence is principal.
+@pytest.mark.parametrize("calc, text, want", [
+    ("sdm", "*p ; *p => *p", "*p"),
+    ("sdm", "p & q ; p & q => p", "p"),
+    ("dm", "p | q ; p | q => p | q", "p & p | ~F & q"),
+    ("sdm", "p, q ; r => p", "p"),
+])
+def test_tie_rule_pins(calc, text, want):
+    left, right, succ = parse_partition(text, calc)
+    d = derive(calc, sequent(calc, left + right, succ))
+    r = interpolate(calc, d, Partition.of(left, right))
+    assert print_structure(r.interpolant) == want
+
+
+def _interpolant_lines(calc, cfg, count, max_weight, eng):
+    out = []
+    for s in derivable_corpus(calc, count, cfg, max_weight=max_weight, engine=eng):
+        d = eng.derive(calc, s)
+        for part in all_partitions(s):
+            r = interpolate(calc, d, part, engine=eng)
+            out.append(", ".join(map(print_structure, part.left)) + " ; "
+                       + ", ".join(map(print_structure, part.right)) + " => "
+                       + print_structure(s.succedent) + " : "
+                       + print_structure(r.interpolant))
+    return out
+
+
+# SHA-256 of the printed interpolant of every partition of two seeded
+# derivable corpora per calculus; the second corpus, over two variables and
+# shallow terms, repeats members often, so the tie rule is exercised.
+INTERPOLANTS_SHA256 = {
+    "sdm": (3720, "3b4404155a8b20ff9d63dad69a7f7d7cce8d88c88ee55d38151ede2791d145c5"),
+    "dm": (3769, "32165e2dea88b695e253ed0a4b8087dea03a05b93cf4eb6f0969dbedf0702171"),
+}
+
+
+@pytest.mark.parametrize("calc, seed, max_weight", [("sdm", 61, 22), ("dm", 62, 20)])
+def test_interpolants_pinned_by_digest(calc, seed, max_weight):
+    eng = SearchEngine()
+    lines = _interpolant_lines(
+        calc, CorpusConfig(seed=seed, max_depth=3, max_antecedent=4), 400,
+        max_weight, eng)
+    lines += _interpolant_lines(
+        calc, CorpusConfig(seed=seed, max_depth=1, variables=("p", "q"),
+                           min_antecedent=2, max_antecedent=4), 200,
+        max_weight, eng)
+    digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
+    assert (len(lines), digest) == INTERPOLANTS_SHA256[calc]

@@ -1,12 +1,14 @@
+import hashlib
 import itertools
 import json
 
 import pytest
 
 from morgankit import (
-    And, CalculusMismatchError, Derivation, Imp, InvalidDerivationError, Neg,
-    Or, SearchEngine, Var, check_derivation, check_derivation_report,
-    derivable, derivable_within_height, derive, min_height, parse_sequent,
+    And, CalculusMismatchError, ClassRegistry, Derivation, Imp,
+    InvalidDerivationError, Neg, Or, SearchEngine, Var, check_derivation,
+    check_derivation_report, derivable, derivable_within_height, derive,
+    k_sequent, min_height, parse_sequent,
     plain, print_sequent, proof_from_obj, render, sequent, starred, variables,
 )
 from morgankit.calculi import iter_g3ip
@@ -157,6 +159,34 @@ def test_render_latex_star_family():
                         ("*q, *r => *(p & (q | r))", r"({\ast}_n)")]:
         tex = render(derive("sdm", parse_sequent(text, "sdm")), "latex")
         assert label in tex, text
+
+
+# SHA-256 of render(d, "ascii") and render(d, "latex") over seeded derivations
+# in all four calculi, then over the derivable k images (in G3ip) that carry
+# #k class atoms.
+RENDER_SHA256 = (502, 11, "19832288e69a4ac6b0e24785ab83371e60fbcc35daedbf28d2e1316943e4f499")
+
+
+def test_render_pinned_by_digest():
+    eng = SearchEngine()
+    texts = []
+    for calc, seed, max_weight in (("sdm", 71, 20), ("dm", 72, 18),
+                                   ("int", 73, None), ("cl", 74, None)):
+        cfg = CorpusConfig(seed=seed, max_depth=2)
+        for s in derivable_corpus(calc, 60, cfg, max_weight=max_weight, engine=eng):
+            d = eng.derive(calc, s)
+            texts += [render(d, "ascii"), render(d, "latex")]
+    reg = ClassRegistry(eng)
+    with_classes = 0
+    for s in generate_sequents("sdm", 300, CorpusConfig(seed=75), max_weight=20):
+        img = k_sequent(s, reg)
+        if any(ns == "class" for ns, _ in variables(img)):
+            d = eng.derive("int", img)
+            if d is not None:
+                with_classes += 1
+                texts += [render(d, "ascii"), render(d, "latex")]
+    digest = hashlib.sha256("\n".join(texts).encode()).hexdigest()
+    assert (len(texts), with_classes, digest) == RENDER_SHA256
 
 
 def test_render_rejects_bad_derivation():

@@ -1,9 +1,12 @@
+import hashlib
+import json
+
 import pytest
 
 from morgankit import (
     BOT, TOP_ALG, TOP_IMP, And, ClassRegistry, Imp, Neg, Or, SearchEngine, Var,
-    check_derivation, check_embedding, double_negate, f_godel_gentzen, f_sequent,
-    g_glivenko, h_sequent, h_to_cl, k_sequent, k_to_int,
+    check_derivation, check_embedding, dm_weight, double_negate,
+    f_godel_gentzen, f_sequent, g_glivenko, h_sequent, h_to_cl, k_sequent, k_to_int,
     parse_sequent, plain, print_sequent, print_term, sequent,
     starred, t_flatten,
 )
@@ -57,6 +60,20 @@ def test_k_clauses():
     assert k(And(p, q)) == And(p, q)
 
 
+# _k asserts that dm_weight falls on each recursive call; these are the
+# calls that rewrite their argument instead of descending into it.
+@pytest.mark.parametrize("before, after", [
+    (Neg(Or(p, q)), Neg(p)),
+    (Neg(And(Neg(p), Neg(q))), Neg(Neg(Or(p, q)))),
+    (Neg(Neg(And(p, q))), Neg(Neg(p))),
+    (Neg(Neg(Or(Neg(p), Neg(q)))), Neg(And(p, q))),
+    (Neg(Neg(Neg(p))), Neg(p)),
+])
+def test_k_measure_falls_on_rewrites(before, after):
+    assert dm_weight(after) < dm_weight(before)
+    k_to_int(before, ClassRegistry())  # _k's own assertion checks every call
+
+
 def test_k_class_variables_respect_equivalence():
     reg = ClassRegistry()
     a = k_to_int(Neg(And(Neg(p), Neg(q))), reg)
@@ -91,6 +108,30 @@ def test_k_on_sequents_reads_stars_as_negation():
     s = parse_sequent("*p, q => *~p", "sdm")
     img = k_sequent(s, reg)
     assert img == sequent("int", [Var("p", "primed"), q], Var("p", "doubled"))
+
+
+# SHA-256 of the printed k images of a seeded SDM corpus through one shared
+# registry, then of the registry's JSON, and the same for the k(f(.)) images
+# that the diagram kind derives.
+K_IMAGES_SHA256 = {
+    "k": (26, "ba1278183f05b052f7f6c002aab984c9e78620f2cc59d55ca60528f926f33bc4"),
+    "diagram": (61, "edfb306ecb69fa7ce90d30f2dcf9f8a66d6db10c674db9109af56ccaca399a44"),
+}
+
+
+def test_k_images_pinned_by_digest():
+    reg = ClassRegistry()
+    lines = [print_sequent(k_sequent(s, reg)) for s in generate_sequents(
+        "sdm", 300, CorpusConfig(seed=75), max_weight=20)]
+    lines.append(json.dumps(reg.as_obj(), sort_keys=True))
+    digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
+    assert (len(reg.entries), digest) == K_IMAGES_SHA256["k"]
+    reg = ClassRegistry()
+    lines = [print_sequent(k_sequent(f_sequent(s), reg)) for s in generate_sequents(
+        "dm", 300, CorpusConfig(seed=76), max_weight=20)]
+    lines.append(json.dumps(reg.as_obj(), sort_keys=True))
+    digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
+    assert (len(reg.entries), digest) == K_IMAGES_SHA256["diagram"]
 
 
 def test_h_clauses():
