@@ -30,9 +30,13 @@ the generalised identity lemma (Negri & von Plato, *Structural Proof
 Theory*, 2001).  Search builds that derivation directly, by recursion on A,
 from rule instances of the G3ip table, instead of searching for one:
 searching is slow on such goals, and the loop check misses some of them
-when A repeats a subformula.  The height-exact searches
-(``min_height``'s deepening, ``derivable_within_height``) do not use it,
-because the identity derivation need not have minimal height.
+when A repeats a subformula.  The height-bounded search below does not
+use it, because the identity derivation need not have minimal height.
+
+One bounded search answers every height query in all four calculi: the
+first derivation of height at most n in instance order.  It commits to no
+rule; the bound, or for SDM/DM the falling weight, makes it terminate.
+``min_height`` decides derivability first, then deepens the bound from 0.
 
 Before it expands an INT/CL goal, search tries to refute it classically:
 both calculi are sound for two-valued semantics, so a boolean valuation
@@ -47,9 +51,10 @@ than ``_REFUTE_VAR_CAP`` variables gets no tables; each goal is then tested
 on its own variables, and not at all when it too has more than the cap.
 
 Memoisation is per (calculus, canonical sequent), keyed by the exact
-sequent; witnesses are real derivations of the queried goal.  The memo is a
-plain dict (per-key updates are atomic under the GIL); per-goal search is
-single-threaded.  ``MORGANKIT_MEMO_LIMIT`` caps the number of entries.
+sequent, and per (sequent, bound) for the bounded search; witnesses are real
+derivations of the queried goal.  Each memo is a plain dict (per-key updates
+are atomic under the GIL); per-goal search is single-threaded.
+``MORGANKIT_MEMO_LIMIT`` caps the number of entries of each.
 """
 
 from __future__ import annotations
@@ -124,12 +129,10 @@ class SearchEngine:
             memo_limit = int(env) if env else None
         self.memo_limit = memo_limit
         self._witness: dict = {}
-        self._min_height: dict = {}
         self._bounded: dict = {}
 
     def reset(self):
         self._witness.clear()
-        self._min_height.clear()
         self._bounded.clear()
 
     def _store(self, table: dict, key, value):
@@ -232,100 +235,56 @@ class SearchEngine:
     def min_height(self, calculus: str, goal: Sequent):
         """Minimal derivation height, or None when not derivable.
 
-        SDM/DM minima come from an exact memoised recursion over the full
-        instance enumeration; INT/CL minima by iterative deepening below a
-        witness found by derive.
+        SDM/DM verdicts come from the bounded search with bound _BIG, where
+        it is exhaustive; INT/CL verdicts from the loop-checked search.
         """
-        if _checked(calculus, goal) in (SDM, DM):
-            h = self._mh(goal)
-            return None if h == _BIG else h
         tt = _TruthTables(goal)
-        witness = self._derive_lc(goal, {}, 0, tt)[0]
+        if _checked(calculus, goal) in (SDM, DM):
+            witness = self._bd(goal, _BIG, tt)
+        else:
+            witness = self._derive_lc(goal, {}, 0, tt)[0]
         if witness is None:
             return None
-        for n in range(witness.height + 1):
-            if self._bd(goal, n, tt):
-                return n
-        return witness.height
-
-    def _mh(self, goal: Sequent) -> int:
-        memo = self._min_height
-        hit = memo.get(goal)
-        if hit is not None:
-            return hit
-        best = _BIG
-        for inst in iter_instances(goal):
-            if not inst.premisses:
-                best = 0
-                break
-            h = 0
-            for p in inst.premisses:
-                ph = self._mh(p)
-                if ph >= best:  # cannot improve; also handles underivable
-                    h = _BIG
-                    break
-                if ph > h:
-                    h = ph
-            if h != _BIG and h + 1 < best:
-                best = h + 1
-                if best == 1:
-                    break
-        return self._store(memo, goal, best)
+        n = 0
+        while self._bd(goal, n, tt) is None:
+            n += 1
+        return n
 
     def derivable_within_height(self, calculus: str, goal: Sequent, n: int) -> bool:
         """True iff some derivation of height at most n exists (exact bound)."""
-        _checked(calculus, goal)
-        return self._within(goal, n, _TruthTables(goal))
+        return self.derive_within_height(calculus, goal, n) is not None
 
     def derive_within_height(self, calculus: str, goal: Sequent, n: int):
         """A derivation of height at most n, or None."""
         _checked(calculus, goal)
-        tt = _TruthTables(goal)
-        if not self._within(goal, n, tt):
-            return None
-        return self._reconstruct(goal, n, tt)
+        return self._bd(goal, n, _TruthTables(goal)) if n >= 0 else None
 
-    def _within(self, goal: Sequent, n: int, tt: "_TruthTables") -> bool:
-        if n < 0:
-            return False
-        if goal.calculus in (SDM, DM):
-            return self._mh(goal) <= n
-        return self._bd(goal, n, tt)
-
-    def _reconstruct(self, goal: Sequent, n: int,
-                     tt: "_TruthTables") -> Derivation:
-        weighted = goal.calculus in (SDM, DM)
-        fits = ((lambda s, k: self._mh(s) <= k) if weighted
-                else (lambda s, k: self._bd(s, k, tt)))
-        for inst in iter_instances(goal):
-            if not inst.premisses:
-                return _node(inst, ())
-            if n > 0 and all(fits(p, n - 1) for p in inst.premisses):
-                children = tuple(self._reconstruct(p, n - 1, tt)
-                                 for p in inst.premisses)
-                return _node(inst, children)
-        raise AssertionError("bounded reconstruction ran out of instances")
-
-    def _bd(self, goal: Sequent, n: int, tt: "_TruthTables") -> bool:
+    def _bd(self, goal: Sequent, n: int, tt: "_TruthTables") -> Optional[Derivation]:
+        """The first derivation of height at most n, in instance order."""
         key = (goal, n)
         memo = self._bounded
-        hit = memo.get(key)
-        if hit is not None:
+        hit = memo.get(key, _BIG)
+        if hit is not _BIG:
             return hit
-        if tt.refutes(goal):
-            self._store(memo, key, False)
-            return False
-        classical = goal.calculus == CL
-        ok = False
-        for inst in iter_g3ip(goal, classical):
-            if not inst.premisses:
-                ok = True
-                break
-            if n > 0 and all(self._bd(p, n - 1, tt) for p in inst.premisses):
-                ok = True
-                break
-        self._store(memo, key, ok)
-        return ok
+        result = None
+        # _TruthTables reads ~ as F, so only INT/CL goals are prefiltered
+        if goal.calculus in (SDM, DM) or not tt.refutes(goal):
+            for inst in iter_instances(goal):
+                if not inst.premisses:
+                    result = _node(inst, ())
+                    break
+                if n == 0:  # every rule table yields its axioms first
+                    break
+                children = []
+                for p in inst.premisses:
+                    d = self._bd(p, n - 1, tt)
+                    if d is None:
+                        break
+                    children.append(d)
+                else:
+                    result = _node(inst, tuple(children))
+                    break
+        return self._store(memo, key, result)
 
 
 def _identity(goal: Sequent) -> Derivation:

@@ -358,10 +358,28 @@ def term_from_obj(obj: dict) -> Term:
     return _term_from_obj(obj, MAX_NESTING)
 
 
+# The variable names, per namespace, that print_term writes as text that
+# parse_term reads back as the same variable.
+_IDENT = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
+_VAR_NAMES = {BASE: _IDENT, PRIMED: _IDENT, DOUBLED: _IDENT,
+              CLASS: re.compile(r"k[0-9]+")}
+
+
+def _var_from_obj(obj: dict) -> Var:
+    name, ns = obj["name"], obj.get("ns", BASE)
+    names = _VAR_NAMES.get(ns) if isinstance(ns, str) else None
+    if names is None:
+        raise ValueError(f"unknown namespace {ns!r}")
+    if (not isinstance(name, str) or not names.fullmatch(name)
+            or (ns == BASE and name in ("T", "F"))):
+        raise ValueError(f"malformed {ns} variable name {name!r}")
+    return Var(name, ns)
+
+
 def _term_from_obj(obj: dict, budget: int) -> Term:
     op = obj["op"]
     if op == "var":
-        return Var(obj["name"], obj.get("ns", BASE))
+        return _var_from_obj(obj)
     if op == "bot":
         return BOT
     if budget == 0:

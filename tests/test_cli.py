@@ -238,3 +238,50 @@ def test_translate_unwritable_registry_is_exit_2(tmp_path):
     r = run_cli("translate", "--map", "k", "~~(p | q)", "--registry", str(reg))
     assert r.returncode == 2
     assert "registry.json" in r.stderr and "Traceback" not in r.stderr
+
+
+def test_prove_below_min_height_is_not_derivable(capsys):
+    from morgankit.cli import main
+    assert main(["prove", "--height", "2", "~p => ~p"]) == 1
+    assert capsys.readouterr().out == "NOT DERIVABLE\n"
+
+
+def test_prove_at_min_height_prints_a_proof(capsys):
+    from morgankit.cli import main
+    assert main(["prove", "--height", "3", "~p => ~p"]) == 0
+    assert capsys.readouterr().out.endswith("~p => ~p   [=>~]\n")
+
+
+def test_closed_stdout_is_not_an_input_error():
+    env = dict(os.environ)
+    env["PYTHONPATH"] = SRC + os.pathsep + env.get("PYTHONPATH", "")
+    child = subprocess.Popen(
+        [sys.executable, "-m", "morgankit", "prove", "p => p", "--format", "latex"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+    child.stdout.close()  # before the child has started to write
+    err = child.stderr.read()
+    child.stderr.close()
+    assert child.wait() == 141  # 128 + SIGPIPE, as a shell reports it
+    assert err == b""
+
+
+def test_render_rejects_malformed_variable_names(tmp_path, capsys):
+    from morgankit import derive, parse_sequent, proof_to_obj
+    from morgankit.cli import main
+    proof = tmp_path / "proof.json"
+    for name, ns in [(5, "base"), ("p q", "base"), ("=>", "base"), ("", "base"),
+                     ("F", "base"), ("4", "class")]:
+        obj = proof_to_obj(derive("dm", parse_sequent("p => p", "dm")))
+        obj["derivation"]["sequent"]["succedent"]["term"].update(name=name, ns=ns)
+        proof.write_text(json.dumps(obj))
+        assert main(["render", str(proof)]) == 2, (name, ns)
+        assert "variable name" in capsys.readouterr().err
+
+
+def test_prove_bad_derivation_is_exit_3(monkeypatch, capsys):
+    from morgankit import Derivation, cli, parse_sequent, search
+    good = search.derive("sdm", parse_sequent("p => p", "sdm"))
+    bad = Derivation(good.sequent, good.rule, good.principal, (), good.height + 1)
+    monkeypatch.setattr(search, "derive", lambda calc, goal: bad)
+    assert cli.main(["prove", "p => p"]) == 3
+    assert "check failure" in capsys.readouterr().err

@@ -8,8 +8,8 @@ from morgankit import (
     And, CalculusMismatchError, ClassRegistry, Derivation, Imp,
     InvalidDerivationError, Neg, Or, SearchEngine, Var, check_derivation,
     check_derivation_report, derivable, derivable_within_height, derive,
-    k_sequent, min_height, parse_sequent,
-    plain, print_sequent, proof_from_obj, render, sequent, starred, variables,
+    k_sequent, min_height, parse_sequent, plain, print_sequent,
+    proof_from_obj, proof_to_obj, render, sequent, starred, variables,
 )
 from morgankit.calculi import iter_g3ip
 from morgankit.corpus import CorpusConfig, derivable_corpus, generate_sequents
@@ -316,6 +316,41 @@ def test_memo_limit_env(monkeypatch):
     for text in ["p => p", "q => q", "p & q => p", "~p => ~p", "r, q => r"]:
         eng.derive("sdm", parse_sequent(text, "sdm"))
     assert len(eng._witness) <= 3
+
+
+# SHA-256 over the height queries of seeded corpora in all four calculi: per
+# goal, min_height n; when n is not None, the proof JSON of
+# derive_within_height at n and at n + 1 and derivable_within_height at
+# n - 1; when it is None, derivable_within_height at 2.
+HEIGHT_SHA256 = (1096, "7ce03165eea5fda77cd4d3be30bb656dfc234cee4af8241c53f549c1c0b3ce99")
+
+
+def _height_lines(calc, seed, count, max_weight):
+    eng = SearchEngine()
+    for s in generate_sequents(calc, count, CorpusConfig(seed=seed),
+                               max_weight=max_weight):
+        n = eng.min_height(calc, s)
+        out = [print_sequent(s), repr(n)]
+        if n is None:
+            out.append(repr(eng.derivable_within_height(calc, s, 2)))
+        else:
+            for k in (n, n + 1):
+                d = eng.derive_within_height(calc, s, k)
+                out.append(json.dumps(proof_to_obj(d), sort_keys=True))
+            out.append(repr(eng.derivable_within_height(calc, s, n - 1)))
+        yield "\t".join(out)
+
+
+def test_height_queries_pinned_by_digest():
+    h = hashlib.sha256()
+    lines = 0
+    for calc, count, max_weight in (("sdm", 250, 24), ("dm", 250, 24),
+                                    ("int", 40, None), ("cl", 8, None)):
+        for seed in (0, 1):
+            for line in _height_lines(calc, seed, count, max_weight):
+                h.update(line.encode() + b"\n")
+                lines += 1
+    assert (lines, h.hexdigest()) == HEIGHT_SHA256
 
 
 def test_derive_within_height_bounded_witness():

@@ -1,7 +1,7 @@
 import json
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from morgankit import (
     BOT, And, Imp, Neg, Or, SearchEngine, Var,
@@ -232,3 +232,37 @@ def test_term_at_the_limit_is_usable():
         d = eng.derive(calc, goal)
         assert d is not None and check_derivation(calc, d)
         assert proof_from_obj(proof_to_obj(d)).sequent == goal
+
+
+# --- variable names in morgan-kit/ast/v1 --------------------------------------
+
+# (name, ns) pairs that print as text parse_term cannot read back as the same
+# variable, or that are not strings at all
+BAD_VAR_NAMES = [
+    (5, "base"), ("p q", "base"), ("=>", "base"), ("", "base"), ("F", "base"),
+    ("T", "base"), ("1p", "primed"), ("p'", "doubled"), ("4", "class"),
+    ("kx", "class"), (None, "base"),
+]
+
+
+@pytest.mark.parametrize("name,ns", BAD_VAR_NAMES)
+def test_term_from_obj_rejects_malformed_names(name, ns):
+    with pytest.raises(ValueError, match="variable name"):
+        term_from_obj({"op": "var", "name": name, "ns": ns})
+
+
+_IDENTS = st.from_regex(r"[A-Za-z_][A-Za-z0-9_]*", fullmatch=True)
+
+
+@given(st.one_of(
+    st.tuples(_IDENTS.filter(lambda n: n not in ("T", "F")), st.just("base")),
+    st.tuples(_IDENTS, st.sampled_from(["primed", "doubled"])),
+    st.tuples(st.from_regex(r"k[0-9]+", fullmatch=True), st.just("class")),
+))
+@example(("T", "primed"))
+@example(("F", "doubled"))
+def test_accepted_var_names_roundtrip(pair):
+    name, ns = pair
+    v = term_from_obj({"op": "var", "name": name, "ns": ns})
+    assert v is Var(name, ns)
+    assert parse_term(print_term(v), INT_CL) is v
