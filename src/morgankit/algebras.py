@@ -23,8 +23,7 @@ the class-registry screen in ``translations`` all walk it.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .terms import (
     DM, SDM,
@@ -35,28 +34,36 @@ from .terms import (
 ALGEBRA_SCHEMA = "morgan-kit/algebra/v1"
 
 
-@dataclass(frozen=True)
-class FiniteAlgebra:
-    """Carrier {0..size-1} with join/meet/neg tables; zero and one element ids."""
-
+class _AlgebraFields(NamedTuple):
     size: int
     join: tuple      # size x size tuples
     meet: tuple
     neg: tuple
-    zero: int = 0
-    one: int = -1
+    zero: int
+    one: int
 
-    def __post_init__(self):
-        if self.one == -1:
-            object.__setattr__(self, "one", self.size - 1)
-        n = self.size
-        for table in (self.join, self.meet):
-            if len(table) != n or any(len(row) != n for row in table):
+
+class FiniteAlgebra(_AlgebraFields):
+    """Carrier {0..size-1} with join/meet/neg tables; zero and one element ids.
+
+    A named tuple whose constructor checks the tables; ``one`` defaults to
+    the top, size - 1.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, size: int, join: tuple, meet: tuple, neg: tuple,
+                zero: int = 0, one: int = -1):
+        if one == -1:
+            one = size - 1
+        for table in (join, meet):
+            if len(table) != size or any(len(row) != size for row in table):
                 raise ValueError("binary tables must be size x size")
-            if any(not (0 <= v < n) for row in table for v in row):
+            if any(not (0 <= v < size) for row in table for v in row):
                 raise ValueError("table entry outside the carrier")
-        if len(self.neg) != n or any(not (0 <= v < n) for v in self.neg):
+        if len(neg) != size or any(not (0 <= v < size) for v in neg):
             raise ValueError("negation table outside the carrier")
+        return tuple.__new__(cls, (size, join, meet, neg, zero, one))
 
     def leq(self, a: int, b: int) -> bool:
         return self.meet[a][b] == a

@@ -33,8 +33,7 @@ that every derivation it appears in still replays.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterator, Optional
+from typing import Iterator, NamedTuple, Optional
 
 from .terms import (
     BOT, CL, DM, INT, SDM,
@@ -47,8 +46,7 @@ class CalculusMismatchError(ValueError):
     """The goal's calculus tag does not match the requested rule table."""
 
 
-@dataclass(frozen=True)
-class RuleInstance:
+class RuleInstance(NamedTuple):
     label: str
     conclusion: Sequent
     premisses: tuple

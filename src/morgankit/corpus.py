@@ -8,8 +8,7 @@ seeds, so corpora are reproducible byte-for-byte on a fixed version.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .terms import (
     BOT, CL, DM, INT, SDM,
@@ -18,20 +17,31 @@ from .terms import (
 )
 
 
-@dataclass(frozen=True)
-class CorpusConfig:
-    seed: int = 0
-    max_depth: int = 3            # grammar recursion depth, capped at 5
-    variables: tuple = ("p", "q", "r")
-    max_antecedent: int = 4
-    min_antecedent: int = 0
-    star_prob: float = 0.35       # SDM members/succedents only
-    bottom_prob: float = 0.08
-    related_succedent_prob: float = 0.45  # bias toward derivable goals
+class _CorpusFields(NamedTuple):
+    seed: int
+    max_depth: int                # grammar recursion depth, capped at 5
+    variables: tuple
+    max_antecedent: int
+    min_antecedent: int
+    star_prob: float              # SDM members/succedents only
+    bottom_prob: float
+    related_succedent_prob: float  # bias toward derivable goals
 
-    def __post_init__(self):
-        if self.max_depth > 5:
+
+class CorpusConfig(_CorpusFields):
+    """A named tuple of generator settings; the constructor caps max_depth."""
+
+    __slots__ = ()
+
+    def __new__(cls, seed: int = 0, max_depth: int = 3,
+                variables: tuple = ("p", "q", "r"), max_antecedent: int = 4,
+                min_antecedent: int = 0, star_prob: float = 0.35,
+                bottom_prob: float = 0.08, related_succedent_prob: float = 0.45):
+        if max_depth > 5:
             raise ValueError("max_depth is capped at 5")
+        return tuple.__new__(cls, (seed, max_depth, variables, max_antecedent,
+                                   min_antecedent, star_prob, bottom_prob,
+                                   related_succedent_prob))
 
 
 def random_term(rng: random.Random, cfg: CorpusConfig, depth: Optional[int] = None,

@@ -30,8 +30,7 @@ vocabulary.  Interpolants are not simplified afterwards.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .calculi import STAR_FAMILY, star_family_used
 from .search import (
@@ -49,8 +48,7 @@ class PartitionMismatchError(ValueError):
     """The partition does not split the goal's antecedent."""
 
 
-@dataclass(frozen=True)
-class Partition:
+class Partition(NamedTuple):
     """left and right antecedent parts; the succedent rides on the right."""
     left: tuple
     right: tuple
@@ -60,8 +58,7 @@ class Partition:
         return Partition(tuple(left), tuple(right))
 
 
-@dataclass(frozen=True)
-class InterpolationResult:
+class InterpolationResult(NamedTuple):
     interpolant: object            # Struct for SDM, Term for DM
     left_derivation: Derivation
     right_derivation: Derivation

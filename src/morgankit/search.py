@@ -59,10 +59,8 @@ are atomic under the GIL); per-goal search is single-threaded.
 
 from __future__ import annotations
 
-import json
 import os
-from dataclasses import dataclass
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .calculi import (
     CalculusMismatchError, RuleInstance, invertible,
@@ -92,8 +90,7 @@ def normalize_calculus(name: str) -> str:
         raise ValueError(f"unknown calculus {name!r}") from None
 
 
-@dataclass(frozen=True)
-class Derivation:
+class Derivation(NamedTuple):
     """A finite tree of rule applications.
 
     height is 0 exactly at axioms and 1 + max child height elsewhere;
@@ -450,31 +447,35 @@ def check_derivation_report(calculus: str, d: Derivation):
     calculus = normalize_calculus(calculus)
     if calculus != d.sequent.calculus:
         return False, f"root: sequent tagged {d.sequent.calculus}, expected {calculus}"
-    checked: set = set()
-
-    def walk(node: Derivation, path: str):
-        if id(node) in checked:
-            return None
-        expected_h = 1 + max((c.height for c in node.children), default=-1)
-        if node.height != expected_h:
-            return f"{path}: height {node.height}, expected {expected_h}"
-        want = tuple(c.sequent for c in node.children)
-        for inst in iter_instances(node.sequent):
-            if (inst.label == node.rule and inst.principal == node.principal
-                    and inst.premisses == want):
-                break
-        else:
-            return (f"{path}: no {node.rule} instance with principal "
-                    f"{node.principal} matches the recorded premisses")
-        for i, c in enumerate(node.children):
-            bad = walk(c, f"{path}.{i}")
-            if bad:
-                return bad
-        checked.add(id(node))
-        return None
-
-    bad = walk(d, "root")
+    bad = _first_bad(d, "root", set())
     return (bad is None), (bad or "ok")
+
+
+def _first_bad(node: Derivation, path: str, checked: set) -> Optional[str]:
+    """The diagnostic of the first node below ``node`` that fails replay.
+
+    ``checked`` holds the ids of nodes already replayed, so a subtree shared
+    by several parents is replayed once.
+    """
+    if id(node) in checked:
+        return None
+    expected_h = 1 + max((c.height for c in node.children), default=-1)
+    if node.height != expected_h:
+        return f"{path}: height {node.height}, expected {expected_h}"
+    want = tuple(c.sequent for c in node.children)
+    for inst in iter_instances(node.sequent):
+        if (inst.label == node.rule and inst.principal == node.principal
+                and inst.premisses == want):
+            break
+    else:
+        return (f"{path}: no {node.rule} instance with principal "
+                f"{node.principal} matches the recorded premisses")
+    for i, c in enumerate(node.children):
+        bad = _first_bad(c, f"{path}.{i}", checked)
+        if bad:
+            return bad
+    checked.add(id(node))
+    return None
 
 
 def check_derivation(calculus: str, d: Derivation) -> bool:
@@ -516,17 +517,34 @@ def _ascii_lines(d: Derivation, depth: int, out: list):
     out.append("  " * depth + f"{print_sequent(d.sequent)}   [{d.rule}]")
 
 
+def _latex_lines(d: Derivation, out: list):
+    for c in d.children:
+        _latex_lines(c, out)
+    if not d.children:
+        out.append(r"\AxiomC{}")
+        infer = r"\UnaryInfC"
+    elif len(d.children) == 1:
+        infer = r"\UnaryInfC"
+    else:
+        infer = r"\BinaryInfC"
+    label = _LATEX_LABELS.get(d.rule, d.rule)
+    out.append(r"\RightLabel{\scriptsize $" + label + "$}")
+    out.append(infer + "{$" + _sequent_text(d.sequent, _LATEX) + "$}")
+
+
+def _node_to_obj(x: Derivation) -> dict:
+    return {
+        "sequent": sequent_to_obj(x.sequent),
+        "rule": x.rule,
+        "principal": x.principal,
+        "height": x.height,
+        "premisses": [_node_to_obj(c) for c in x.children],
+    }
+
+
 def proof_to_obj(d: Derivation) -> dict:
-    def node(x: Derivation) -> dict:
-        return {
-            "sequent": sequent_to_obj(x.sequent),
-            "rule": x.rule,
-            "principal": x.principal,
-            "height": x.height,
-            "premisses": [node(c) for c in x.children],
-        }
     return {"schema": PROOF_SCHEMA, "calculus": d.sequent.calculus,
-            "derivation": node(d)}
+            "derivation": _node_to_obj(d)}
 
 
 def _field(x: dict, key: str, types, path: str):
@@ -544,23 +562,25 @@ def proof_from_obj(obj: dict) -> Derivation:
         raise ValueError(f"a proof is a JSON object, not a {type(obj).__name__}")
     if obj.get("schema") != PROOF_SCHEMA:
         raise ValueError(f"unsupported proof schema {obj.get('schema')!r}")
+    return _node_from_obj(_field(obj, "derivation", dict, "proof"), "derivation")
 
-    def node(x, path: str) -> Derivation:
-        if not isinstance(x, dict):
-            raise ValueError(f"{path}: a node is an object, not a {type(x).__name__}")
-        try:
-            seq = sequent_from_obj(_field(x, "sequent", dict, path))
-        except (KeyError, TypeError, AttributeError) as e:
-            raise ValueError(f"{path}.sequent: malformed sequent ({e!r})") from None
-        premisses = _field(x, "premisses", list, path)
-        return Derivation(
-            seq,
-            _field(x, "rule", str, path),
-            _field(x, "principal", (int, type(None)), path),
-            tuple(node(c, f"{path}.premisses[{i}]") for i, c in enumerate(premisses)),
-            _field(x, "height", int, path),
-        )
-    return node(_field(obj, "derivation", dict, "proof"), "derivation")
+
+def _node_from_obj(x, path: str) -> Derivation:
+    if not isinstance(x, dict):
+        raise ValueError(f"{path}: a node is an object, not a {type(x).__name__}")
+    try:
+        seq = sequent_from_obj(_field(x, "sequent", dict, path))
+    except (KeyError, TypeError, AttributeError) as e:
+        raise ValueError(f"{path}.sequent: malformed sequent ({e!r})") from None
+    premisses = _field(x, "premisses", list, path)
+    return Derivation(
+        seq,
+        _field(x, "rule", str, path),
+        _field(x, "principal", (int, type(None)), path),
+        tuple(_node_from_obj(c, f"{path}.premisses[{i}]")
+              for i, c in enumerate(premisses)),
+        _field(x, "height", int, path),
+    )
 
 
 def render(d: Derivation, format: str = "ascii") -> str:
@@ -574,24 +594,10 @@ def render(d: Derivation, format: str = "ascii") -> str:
         return "\n".join(out)
     if format == "latex":
         lines = [r"\begin{prooftree}"]
-
-        def emit(node: Derivation):
-            for c in node.children:
-                emit(c)
-            if not node.children:
-                lines.append(r"\AxiomC{}")
-                infer = r"\UnaryInfC"
-            elif len(node.children) == 1:
-                infer = r"\UnaryInfC"
-            else:
-                infer = r"\BinaryInfC"
-            label = _LATEX_LABELS.get(node.rule, node.rule)
-            lines.append(r"\RightLabel{\scriptsize $" + label + "$}")
-            lines.append(infer + "{$" + _sequent_text(node.sequent, _LATEX) + "$}")
-
-        emit(d)
+        _latex_lines(d, lines)
         lines.append(r"\end{prooftree}")
         return "\n".join(lines)
     if format == "json":
+        import json  # here only: importing morgankit should not load json
         return json.dumps(proof_to_obj(d), indent=2, sort_keys=True)
     raise ValueError(f"unknown render format {format!r}")

@@ -376,6 +376,12 @@ def is_imp_term(t: Term) -> bool:
 
 # --- weights -----------------------------------------------------------
 
+# A collection of members is a plain tuple or list.  Records such as
+# Derivation and Partition subclass tuple; the exact type test keeps them
+# from being read as collections of members.
+_SEQUENCES = (tuple, list)
+
+
 def _sdm_w(t: Term) -> int:
     w = t._sw
     if w is None:
@@ -411,7 +417,7 @@ def sdm_weight(x) -> int:
         if x.calculus == DM:
             return 0
         return sum(sdm_weight(m) for m in x.antecedent) + sdm_weight(x.succedent)
-    if isinstance(x, (tuple, list)):
+    if type(x) in _SEQUENCES:
         return sum(sdm_weight(m) for m in x)
     raise TypeError(f"cannot weigh {x!r}")
 
@@ -436,7 +442,7 @@ def dm_weight(x) -> int:
         return _dm_w(x)
     if isinstance(x, Sequent):
         return sum(_dm_w(m) for m in x.antecedent) + _dm_w(x.succedent)
-    if isinstance(x, (tuple, list)):
+    if type(x) in _SEQUENCES:
         return sum(_dm_w(m) for m in x)
     raise TypeError(f"cannot weigh {x!r}")
 
@@ -447,7 +453,7 @@ def complexity(x) -> int:
         return complexity(x.term) + (1 if x.star else 0)
     if isinstance(x, Sequent):
         return sum(complexity(m) for m in x.antecedent) + complexity(x.succedent)
-    if isinstance(x, (tuple, list)):
+    if type(x) in _SEQUENCES:
         return sum(complexity(m) for m in x)
     ty = type(x)
     if ty is Var or ty is _Bottom:
@@ -468,7 +474,7 @@ def variables(x) -> frozenset:
             stack.append(item.succedent)
         elif isinstance(item, Struct):
             stack.append(item.term)
-        elif isinstance(item, (tuple, list)):
+        elif type(item) in _SEQUENCES:
             stack.extend(item)
         elif type(item) is Var:
             out.add((item.ns, item.name))

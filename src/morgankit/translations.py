@@ -21,7 +21,6 @@ verbatim.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Optional
 
 from .algebras import _assignments, enumerate_algebras, evaluate
@@ -257,16 +256,35 @@ EMBEDDING_KINDS = {
 }
 
 
-@dataclass
 class EmbeddingReport:
-    kind: str
-    total: int = 0
-    agreements: int = 0
-    counterexamples: list = field(default_factory=list)
-    # dm-glivenko-sdm only: how often the single-negation succedent variant
-    # agrees with the source; reported, not gated.
-    variant_total: int = 0
-    variant_agreements: int = 0
+    """Agreement counts of one embedding kind, with its counterexamples.
+
+    Mutable; equal to another report with the same fields, and unhashable.
+    """
+
+    __slots__ = ("kind", "total", "agreements", "counterexamples",
+                 "variant_total", "variant_agreements")
+
+    def __init__(self, kind: str, total: int = 0, agreements: int = 0,
+                 counterexamples: Optional[list] = None,
+                 variant_total: int = 0, variant_agreements: int = 0):
+        self.kind = kind
+        self.total = total
+        self.agreements = agreements
+        self.counterexamples = [] if counterexamples is None else counterexamples
+        # dm-glivenko-sdm only: how often the single-negation succedent
+        # variant agrees with the source; reported, not gated.
+        self.variant_total = variant_total
+        self.variant_agreements = variant_agreements
+
+    def __eq__(self, other):  # defining __eq__ alone leaves the class unhashable
+        if type(other) is not EmbeddingReport:
+            return NotImplemented
+        return all(getattr(self, name) == getattr(other, name) for name in self.__slots__)
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"EmbeddingReport({fields})"
 
     @property
     def agreement_rate(self) -> float:

@@ -212,3 +212,25 @@ def test_registry_screen_matches_brute_force():
         want = any(_value(a, val, alg) != _value(b, val, alg)
                    for alg in algs for val in _valuations(names, alg))
         assert ClassRegistry._semantically_apart(a, b) == want, (a, b)
+
+
+def test_finite_algebra_record():
+    a = dm4()
+    assert (a.zero, a.one) == (0, 3)
+    assert BOOL2.one == 1
+    assert a == FiniteAlgebra(4, a.join, a.meet, a.neg, 0, 3)
+    assert hash(a) == hash(FiniteAlgebra(4, a.join, a.meet, a.neg, one=3))
+    assert a != FiniteAlgebra(4, a.join, a.meet, (3, 2, 1, 0))
+    assert repr(BOOL2) == (
+        "FiniteAlgebra(size=2, join=((0, 1), (1, 1)), meet=((0, 0), (0, 1)), "
+        "neg=(1, 0), zero=0, one=1)")
+    with pytest.raises(AttributeError):
+        a.one = 2
+    with pytest.raises(ValueError, match="size x size"):
+        FiniteAlgebra(2, BOOL2.join, ((0, 0), (0,)), (1, 0))
+    with pytest.raises(ValueError, match="outside the carrier"):
+        FiniteAlgebra(2, BOOL2.join, ((0, 0), (0, 2)), (1, 0))
+    with pytest.raises(ValueError, match="negation table"):
+        FiniteAlgebra(2, BOOL2.join, BOOL2.meet, (1,))
+    with pytest.raises(ValueError, match="negation table"):
+        FiniteAlgebra(2, BOOL2.join, BOOL2.meet, (1, -1))

@@ -141,3 +141,16 @@ def test_conclusion_fidelity_all_calculi():
         for goal in _goals(calc, 150, seed=7):
             for inst in expand(goal):
                 assert inst.conclusion == goal
+
+
+def test_rule_instance_record():
+    from morgankit import RuleInstance
+    goal = parse_sequent("p & q => p", "sdm")
+    (inst,) = expand_g3sdm(goal)
+    (twin,) = expand_g3sdm(parse_sequent("p & q => p", "sdm"))
+    assert inst is not twin and inst == twin and hash(inst) == hash(twin)
+    assert inst == RuleInstance("&=>", goal, inst.premisses, 0)
+    assert inst != RuleInstance("&=>", goal, inst.premisses, -1)
+    assert repr(inst) == "<RuleInstance &=> principal=0>"
+    with pytest.raises(AttributeError):
+        inst.label = "Id"

@@ -285,3 +285,17 @@ def test_prove_bad_derivation_is_exit_3(monkeypatch, capsys):
     monkeypatch.setattr(search, "derive", lambda calc, goal: bad)
     assert cli.main(["prove", "p => p"]) == 3
     assert "check failure" in capsys.readouterr().err
+
+
+def test_import_loads_no_dataclasses_inspect_or_json():
+    # compared with the modules loaded before the import, so a site hook
+    # that loads one of them does not count
+    code = ("import sys; before = set(sys.modules); import morgankit; "
+            "added = {'dataclasses', 'inspect', 'json'} & (set(sys.modules) - before); "
+            "print(' '.join(sorted(added)))")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = SRC + os.pathsep + env.get("PYTHONPATH", "")
+    r = subprocess.run([sys.executable, "-c", code],
+                       capture_output=True, text=True, env=env)
+    assert r.returncode == 0, r.stderr
+    assert r.stdout.strip() == ""

@@ -220,3 +220,23 @@ def test_interpolants_pinned_by_digest(calc, seed, max_weight):
         max_weight, eng)
     digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
     assert (len(lines), digest) == INTERPOLANTS_SHA256[calc]
+
+
+def test_partition_and_result_records():
+    part = Partition.of([plain(p)], [plain(q)])
+    assert part == Partition((plain(p),), (plain(q),))
+    assert hash(part) == hash(Partition.of((plain(p),), [plain(q)]))
+    assert part != Partition.of([plain(q)], [plain(p)])
+    assert repr(part) == "Partition(left=(<Struct p>,), right=(<Struct q>,))"
+    with pytest.raises(AttributeError):
+        part.left = ()
+    d = derive("sdm", parse_sequent("p, q => p", "sdm"))
+    r = interpolate("sdm", d, part)
+    again = interpolate("sdm", d, Partition.of([plain(p)], [plain(q)]))
+    assert r == again and hash(r) == hash(again)
+    assert repr(r) == (
+        "InterpolationResult(interpolant=<Struct p>, "
+        "left_derivation=<Derivation Id h=0 p => p>, "
+        "right_derivation=<Derivation Id h=0 p, q => p>)")
+    with pytest.raises(AttributeError):
+        r.interpolant = plain(q)

@@ -94,3 +94,19 @@ def test_threads_share_one_node_per_term():
     assert not any(th.is_alive() for th in threads)
     for built in results[1:]:
         assert all(a is b for a, b in zip(results[0], built))
+
+
+def test_records_are_not_member_collections():
+    # Partition and Derivation subclass tuple; only plain tuples and lists
+    # are read as collections of members.
+    from morgankit import Partition, derive, parse_sequent, variables
+    p = parse_term("p")
+    part = Partition.of([starred(p)], [])
+    d = derive("sdm", parse_sequent("p => p", "sdm"))
+    assert sdm_weight((starred(p),)) == sdm_weight([starred(p)]) == sdm_weight(starred(p))
+    for record in (part, d):
+        with pytest.raises(TypeError):
+            sdm_weight(record)
+        with pytest.raises(TypeError):
+            dm_weight(record)
+        assert variables(record) == frozenset()

@@ -249,3 +249,21 @@ def test_or_of_negations_is_a_dm_fact_not_an_sdm_one():
     image = parse_sequent("~(p & (q & q)) => ~p | ~q", "sdm")
     assert not eng.derivable("sdm", image)
     assert refute(image, "sdm", 6) is not None  # semantically invalid in SDM
+
+
+def test_embedding_report_record():
+    from morgankit import EmbeddingReport
+    a, b = EmbeddingReport("diagram"), EmbeddingReport("diagram")
+    assert a == b and a.counterexamples is not b.counterexamples
+    a.record(parse_sequent("p => q", "dm"), True, False)
+    assert b.counterexamples == [] and a != b
+    assert (a.total, a.agreements, a.agreement_rate) == (1, 0, 0.0)
+    assert repr(a) == (
+        "EmbeddingReport(kind='diagram', total=1, agreements=0, "
+        "counterexamples=[('p => q', True, False)], variant_total=0, "
+        "variant_agreements=0)")
+    assert EmbeddingReport("x", 2, 1) == EmbeddingReport("x", total=2, agreements=1)
+    assert EmbeddingReport("x", 2, 1).agreement_rate == 0.5
+    assert EmbeddingReport("x").variant_rate == 1.0
+    with pytest.raises(TypeError):
+        hash(a)
