@@ -61,10 +61,6 @@ _PLAIN_BOT = plain(BOT)
 _STAR_BOT = starred(BOT)
 
 
-def _seq(calculus, ants, succ):
-    return Sequent(calculus, ants, succ)
-
-
 def _replace(goal: Sequent, index: int, members) -> Sequent:
     rest = goal.without(index)
     return Sequent(goal.calculus, rest + tuple(members), goal.succedent)
@@ -198,7 +194,7 @@ def iter_g3sdm(goal: Sequent) -> Iterator[RuleInstance]:
     if succ.star:
         for i, m in enumerate(ants):
             if m.star:
-                premiss = _seq(SDM, (plain(st),), plain(m.term))
+                premiss = Sequent(SDM, (plain(st),), plain(m.term))
                 yield RuleInstance("*", goal, (premiss,), i)
         yield from _star_family(goal)
 
@@ -215,7 +211,7 @@ def _star_family(goal: Sequent) -> Iterator[RuleInstance]:
     for bits in range((1 << len(stars)) - 1, -1, -1):
         used = [i for j, i in enumerate(stars) if bits >> j & 1]
         disjunction = fold(Or, [ants[i].term for i in used], BOT)
-        premisses = (_seq(DM, (goal.succedent.term,), disjunction),)
+        premisses = (Sequent(DM, (goal.succedent.term,), disjunction),)
         if not used:
             yield RuleInstance("*0", goal, premisses, -1)
         elif len(used) == 1:

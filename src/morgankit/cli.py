@@ -25,15 +25,11 @@ EXIT_OK, EXIT_NEGATIVE, EXIT_PARSE, EXIT_INTERNAL = 0, 1, 2, 3
 _EXIT_BROKEN_PIPE = 128 + 13  # as a shell reports death by SIGPIPE
 
 
-def _parse_sequent(text: str, calculus: str):
-    return syntax.parse_sequent(text, normalize_calculus(calculus))
-
-
 def _cmd_decide(args) -> int:
     calc = normalize_calculus(args.calculus)
     if args.batch:
         return _batch(calc, render_proof=False)
-    goal = _parse_sequent(args.sequent, calc)
+    goal = syntax.parse_sequent(args.sequent, calc)
     if search.derivable(calc, goal):
         print("derivable")
         return EXIT_OK
@@ -45,7 +41,7 @@ def _cmd_prove(args) -> int:
     calc = normalize_calculus(args.calculus)
     if args.batch:
         return _batch(calc, render_proof=True)
-    goal = _parse_sequent(args.sequent, calc)
+    goal = syntax.parse_sequent(args.sequent, calc)
     if args.height is not None:
         d = search.default_engine().derive_within_height(calc, goal, args.height)
     else:
@@ -174,7 +170,7 @@ def _cmd_check_embedding(args) -> int:
 def _cmd_validity(args) -> int:
     variety = args.variety
     calc = SDM if variety == "sdm" else DM
-    s = _parse_sequent(args.sequent, calc)
+    s = syntax.parse_sequent(args.sequent, calc)
     witness = algebras.refute(s, variety, args.max_size)
     if witness is None:
         print(f"valid in every enumerated {variety} algebra of size <= {args.max_size}")

@@ -8,6 +8,7 @@ seeds, so corpora are reproducible byte-for-byte on a fixed version.
 from __future__ import annotations
 
 import random
+from itertools import islice
 from typing import NamedTuple, Optional
 
 from .terms import (
@@ -87,18 +88,20 @@ def random_sequent(rng: random.Random, cfg: CorpusConfig, calculus: str) -> Sequ
     return sequent(calculus, ants, succ)
 
 
+def _stream(calculus: str, cfg: CorpusConfig, max_weight: Optional[int]):
+    """Endless seeded random sequents, rejection-filtered by weight when asked."""
+    rng = random.Random(cfg.seed)
+    weigh = sdm_weight if calculus == SDM else dm_weight if calculus == DM else None
+    while True:
+        s = random_sequent(rng, cfg, calculus)
+        if max_weight is None or weigh is None or weigh(s) <= max_weight:
+            yield s
+
+
 def generate_sequents(calculus: str, count: int, cfg: CorpusConfig,
                       max_weight: Optional[int] = None) -> list:
     """`count` random sequents, rejection-filtered by weight when asked."""
-    rng = random.Random(cfg.seed)
-    out = []
-    weigh = sdm_weight if calculus == SDM else dm_weight if calculus == DM else None
-    while len(out) < count:
-        s = random_sequent(rng, cfg, calculus)
-        if max_weight is not None and weigh is not None and weigh(s) > max_weight:
-            continue
-        out.append(s)
-    return out
+    return list(islice(_stream(calculus, cfg, max_weight), count))
 
 
 def derivable_corpus(calculus: str, count: int, cfg: CorpusConfig,
@@ -107,15 +110,7 @@ def derivable_corpus(calculus: str, count: int, cfg: CorpusConfig,
     """`count` derivable sequents, found by rejection sampling."""
     from .search import default_engine
     eng = engine or default_engine()
-    rng = random.Random(cfg.seed)
-    weigh = sdm_weight if calculus == SDM else dm_weight if calculus == DM else None
-    out = []
-    while len(out) < count:
-        s = random_sequent(rng, cfg, calculus)
-        if term_succedent and calculus == SDM and s.succedent.star:
-            continue
-        if max_weight is not None and weigh is not None and weigh(s) > max_weight:
-            continue
-        if eng.derivable(calculus, s):
-            out.append(s)
-    return out
+    skip_star = term_succedent and calculus == SDM
+    return list(islice((s for s in _stream(calculus, cfg, max_weight)
+                        if not (skip_star and s.succedent.star)
+                        and eng.derivable(calculus, s)), count))

@@ -3,16 +3,18 @@
 A partition splits the antecedent multiset of a derivable goal into a left
 part and a right part (the succedent always belongs to the right).  The
 extractor reads a partition as the multiset of its left occurrences; among
-equal members the left copies come first.  It walks the derivation: a left
-rule's premiss puts the members the rule inserted on its principal's side;
-axioms pick an atom, F, T or *F depending on which side the principal
-occurrence fell; single-premiss rules pass the child interpolant through;
-branching rules join the child interpolants with & (principal on the right,
-or any right rule) or | (branching left rule with its principal on the
-left); the star rule interpolates its premiss and re-stars the result.  SDM
-interpolants are basic structures, DM interpolants terms; when children must
-be joined, starred child interpolants are first flattened to their negation
-reading.
+equal members the left copies come first.  It walks the derivation.  Axioms
+pick an atom, F, T or *F depending on which side the principal occurrence
+fell; the star rule interpolates its premiss and re-stars the result.  Every
+other rule is read by two facts of its recorded instance alone: where its
+principal sits (``principal`` -1 for the succedent, else an antecedent
+position) and how many premisses it has.  A premiss of a rule whose
+principal lies on the left puts the members the rule inserted on the left;
+with one premiss the child interpolant passes through; with two the child
+interpolants are joined by | when the principal lies on the left and by &
+otherwise.  SDM interpolants are basic structures, DM interpolants terms;
+when children are joined, starred child interpolants are first flattened to
+their negation reading.
 
 The star family (``*0``, ``*1``, ``*n``) has the G3DM premiss
 phi => psi_1 | ... | psi_k, whose disjuncts are split between the sides.
@@ -82,22 +84,13 @@ def _on_left(ant: tuple, i: int, left: Counter) -> bool:
 
 
 def _child_left(node: Derivation, left: Counter, child: Derivation) -> Counter:
-    """The left multiset of a left rule's premiss: the members the rule
-    inserted in place of its principal take the principal's side."""
-    ant = node.sequent.antecedent
-    if not _on_left(ant, node.principal, left):
-        return left
+    """The left multiset of a premiss of a rule whose principal lies on the
+    left: the members the rule inserted in place of its principal join it."""
     # left - principal + (child - (ant - principal)) = left + child - ant
     out = Counter(left)
     out.update(child.sequent.antecedent)
-    out.subtract(ant)
+    out.subtract(node.sequent.antecedent)
     return out
-
-
-_SINGLE_LEFT = {"&=>", "~=>", "*|=>", "*~&=>", "*~~=>", "~|=>", "~~=>"}
-_BRANCH_LEFT = {"|=>", "~&=>"}
-_SINGLE_RIGHT = {"=>|1", "=>|2", "=>~", "=>*~~", "=>~&1", "=>~&2", "=>~~"}
-_BRANCH_RIGHT = {"=>&", "=>*|", "=>*~&", "=>~|"}
 
 
 def _extract(node: Derivation, left: Counter, sdm: bool):
@@ -139,25 +132,15 @@ def _extract(node: Derivation, left: Counter, sdm: bool):
         sides = ["L" if _on_left(ant, i, left) else "R" for i in used]
         return starred(_split(node.children[0], fold(_merge, sides, "R")))
 
-    if rule in _SINGLE_LEFT:
-        child = node.children[0]
-        return _extract(child, _child_left(node, left, child), sdm)
-
-    if rule in _SINGLE_RIGHT:
-        return _extract(node.children[0], left, sdm)
-
-    if rule in _BRANCH_LEFT:
-        parts = [t_flatten(_extract(c, _child_left(node, left, c), sdm))
-                 for c in node.children]
-        joined = (Or if _on_left(ant, node.principal, left) else And)(*parts)
-        return plain(joined) if sdm else joined
-
-    if rule in _BRANCH_RIGHT:
-        parts = [t_flatten(_extract(c, left, sdm)) for c in node.children]
-        joined = And(*parts)
-        return plain(joined) if sdm else joined
-
-    raise ValueError(f"rule {rule!r} does not belong to an interpolating calculus")
+    # every other rule is logical, with its principal in the succedent (-1)
+    # or at an antecedent position
+    on_left = node.principal != -1 and _on_left(ant, node.principal, left)
+    parts = [_extract(c, _child_left(node, left, c) if on_left else left, sdm)
+             for c in node.children]
+    if len(parts) == 1:
+        return parts[0]
+    joined = (Or if on_left else And)(*map(t_flatten, parts))
+    return plain(joined) if sdm else joined
 
 
 def _merge(left, right):
@@ -189,6 +172,13 @@ def _split(node: Derivation, tree):
     return parts[0] if len(parts) == 1 else Or(*parts)
 
 
+def _obligations(calculus: str, goal: Sequent, part: Partition, candidate):
+    """The two sequents an interpolant must make derivable: left => I and
+    I, right => succedent."""
+    return (sequent(calculus, part.left, candidate),
+            sequent(calculus, part.right + (candidate,), goal.succedent))
+
+
 def interpolate(calculus: str, d: Derivation, part: Partition,
                 engine: Optional[SearchEngine] = None) -> InterpolationResult:
     """Extract an interpolant for the partition and derive both obligations."""
@@ -201,10 +191,8 @@ def interpolate(calculus: str, d: Derivation, part: Partition,
     left = _sides_for(d.sequent, part)
     candidate = _extract(d, left, calculus == SDM)
     eng = engine or default_engine()
-    left_goal = sequent(calculus, part.left, candidate)
-    right_goal = sequent(calculus, part.right + (candidate,), d.sequent.succedent)
-    left_d = eng.derive(calculus, left_goal)
-    right_d = eng.derive(calculus, right_goal)
+    left_d, right_d = (eng.derive(calculus, g)
+                       for g in _obligations(calculus, d.sequent, part, candidate))
     if left_d is None or right_d is None:
         raise AssertionError("extracted interpolant failed an obligation")
     return InterpolationResult(candidate, left_d, right_d)
@@ -222,13 +210,10 @@ def verify_interpolant(calculus: str, goal: Sequent, part: Partition, candidate,
         return False
     eng = engine or default_engine()
     try:
-        left_goal = sequent(calculus, part.left, candidate)
-        right_goal = sequent(calculus, part.right + (candidate,), goal.succedent)
+        obligations = _obligations(calculus, goal, part, candidate)
     except ValueError:
         return False
-    if not eng.derivable(calculus, left_goal):
-        return False
-    if not eng.derivable(calculus, right_goal):
+    if not all(eng.derivable(calculus, g) for g in obligations):
         return False
     shared = variables(part.left) & (variables(part.right) | variables(goal.succedent))
     return variables(candidate) <= shared

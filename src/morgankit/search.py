@@ -35,8 +35,8 @@ use it, because the identity derivation need not have minimal height.
 
 One bounded search answers every height query in all four calculi: the
 first derivation of height at most n in instance order.  It commits to no
-rule; the bound, or for SDM/DM the falling weight, makes it terminate.
-``min_height`` decides derivability first, then deepens the bound from 0.
+rule; the bound makes it terminate.  ``min_height`` takes its verdict from
+``derive``, then deepens the bound from 0.
 
 Before it expands an INT/CL goal, search tries to refute it classically:
 both calculi are sound for two-valued semantics, so a boolean valuation
@@ -232,16 +232,12 @@ class SearchEngine:
     def min_height(self, calculus: str, goal: Sequent):
         """Minimal derivation height, or None when not derivable.
 
-        SDM/DM verdicts come from the bounded search with bound _BIG, where
-        it is exhaustive; INT/CL verdicts from the loop-checked search.
+        The verdict comes from ``derive``, in all four calculi; only a
+        derivable goal is then searched at bounds 0, 1, 2, ...
         """
-        tt = _TruthTables(goal)
-        if _checked(calculus, goal) in (SDM, DM):
-            witness = self._bd(goal, _BIG, tt)
-        else:
-            witness = self._derive_lc(goal, {}, 0, tt)[0]
-        if witness is None:
+        if self.derive(calculus, goal) is None:
             return None
+        tt = _TruthTables(goal)
         n = 0
         while self._bd(goal, n, tt) is None:
             n += 1

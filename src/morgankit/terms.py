@@ -17,15 +17,17 @@ outside the table refers to it.  A miss inserts under a lock after a second
 lookup, so threads building the same term concurrently get one node.
 
 Everything here is immutable after construction and safe to share between
-threads.  Each node caches, in slots filled on first use, its canonical sort
-key (so multiset-antecedent sequents can be kept in a canonical sorted order
-cheaply) and its SDM and DM weights.
+threads.  Each node is built with its canonical sort key, made from its
+children's keys, so antecedents are kept in canonical order cheaply; it
+caches its SDM and DM weights in slots filled on first use.  A child that is
+not a term, or a variable name that is not a string, raises TypeError.
 """
 
 from __future__ import annotations
 
-import threading
+import _thread
 import weakref
+from operator import attrgetter
 from typing import Iterable, Union
 
 # Variable namespaces.  Base variables come from user input; the other three
@@ -51,7 +53,7 @@ CALCULI = (SDM, DM, INT, CL)
 _TABLE: weakref.WeakValueDictionary = weakref.WeakValueDictionary()
 _REFS = _TABLE.data      # the key -> weak reference dict behind _TABLE
 _REMOVE = _TABLE._remove  # _TABLE's callback that drops a dead entry
-_LOCK = threading.Lock()
+_LOCK = _thread.allocate_lock()
 
 
 class _Entry(weakref.ref):
@@ -85,7 +87,12 @@ class Term:
     __slots__ = ("__weakref__", "_key", "_sw", "_dw")
 
     def key(self):
-        """Total-order sort key; equal keys iff structurally equal."""
+        """Total-order sort key; equal keys iff structurally equal.
+
+        (0, namespace rank, name) for a variable, (1,) for F, (2, key of
+        arg) for ~, (rank, key of left, key of right) for & (3), | (4) and
+        -> (5).
+        """
         return self._key
 
     def __repr__(self):
@@ -100,6 +107,8 @@ class Var(Term):
         key = (Var, name, ns)
         node = _lookup(key)
         if node is None:
+            if type(name) is not str:
+                raise TypeError(f"a variable name is a string, not {name!r}")
             if ns not in _NS_RANK:
                 raise ValueError(f"unknown namespace {ns!r}")
             node = object.__new__(cls)
@@ -133,17 +142,14 @@ class Neg(Term):
         key = (Neg, arg)
         node = _lookup(key)
         if node is None:
+            if not isinstance(arg, Term):
+                raise TypeError(f"~ takes a term, not {arg!r}")
             node = object.__new__(cls)
             node.arg = arg
-            node._key = node._sw = node._dw = None
+            node._key = (2, arg._key)
+            node._sw = node._dw = None
             node = _publish(key, node)
         return node
-
-    def key(self):
-        k = self._key
-        if k is None:
-            k = self._key = (2, self.arg.key())
-        return k
 
 
 class _Binary(Term):
@@ -155,18 +161,15 @@ class _Binary(Term):
         key = (cls, left, right)
         node = _lookup(key)
         if node is None:
+            if not (isinstance(left, Term) and isinstance(right, Term)):
+                raise TypeError(f"{cls.__name__} takes terms, not {left!r}, {right!r}")
             node = object.__new__(cls)
             node.left = left
             node.right = right
-            node._key = node._sw = node._dw = None
+            node._key = (cls._rank, left._key, right._key)
+            node._sw = node._dw = None
             node = _publish(key, node)
         return node
-
-    def key(self):
-        k = self._key
-        if k is None:
-            k = self._key = (self._rank, self.left.key(), self.right.key())
-        return k
 
 
 class And(_Binary):
@@ -212,8 +215,7 @@ def t_flatten(x) -> Term:
         return x
     if isinstance(x, Sequent):
         return t_flatten(x.antecedent)
-    members = [t_flatten(m) for m in x]
-    return fold(And, members, TOP_ALG)
+    return fold(And, [t_flatten(m) for m in _members(x)], TOP_ALG)
 
 
 class Struct:
@@ -235,15 +237,13 @@ class Struct:
             node = object.__new__(cls)
             node.star = star
             node.term = term
-            node._key = None
+            node._key = (1 if star else 0, term._key)
             node = _publish(key, node)
         return node
 
     def key(self):
-        k = self._key
-        if k is None:
-            k = self._key = (1 if self.star else 0, self.term.key())
-        return k
+        """(1 if starred else 0, key of the term)."""
+        return self._key
 
     def __repr__(self):
         from .syntax import print_structure
@@ -260,9 +260,7 @@ def starred(t: Term) -> Struct:
 
 Member = Union[Term, Struct]
 
-
-def _member_key(m: Member):
-    return m.key()
+_BY_KEY = attrgetter("_key")
 
 
 class Sequent:
@@ -277,7 +275,7 @@ class Sequent:
     __slots__ = ("calculus", "antecedent", "succedent", "_h", "_setform")
 
     def __init__(self, calculus: str, antecedent: Iterable[Member], succedent: Member):
-        ants = sorted(antecedent, key=_member_key)
+        ants = sorted(antecedent, key=_BY_KEY)
         self.calculus = calculus
         self.antecedent = tuple(ants)
         self.succedent = succedent
@@ -380,6 +378,13 @@ def is_imp_term(t: Term) -> bool:
 # Derivation and Partition subclass tuple; the exact type test keeps them
 # from being read as collections of members.
 _SEQUENCES = (tuple, list)
+
+
+def _members(x):
+    """A multiset argument, which must be a plain tuple or list."""
+    if type(x) not in _SEQUENCES:
+        raise TypeError(f"expected a tuple or list of members, not {x!r}")
+    return x
 
 
 def _sdm_w(t: Term) -> int:

@@ -29,7 +29,7 @@ from .syntax import print_sequent, print_term
 from .terms import (
     BOT, CL, CLASS, DM, INT, PRIMED, DOUBLED, SDM, TOP_ALG, TOP_IMP,
     And, Imp, Neg, Or, Sequent, Term, Var,
-    dm_weight, fold, is_alg_term, plain, sequent, t_flatten, variables,
+    _members, dm_weight, fold, is_alg_term, plain, sequent, t_flatten, variables,
 )
 
 
@@ -59,20 +59,19 @@ def f_godel_gentzen(x):
         if ty is Or:
             return Neg(Neg(Or(f_godel_gentzen(x.left), f_godel_gentzen(x.right))))
         raise ValueError("f is defined on the algebraic language")
-    return fold(And, [f_godel_gentzen(m) for m in x], TOP_ALG)
+    return fold(And, [f_godel_gentzen(m) for m in _members(x)], TOP_ALG)
 
 
 def f_sequent(s: Sequent, target: str = SDM) -> Sequent:
     """Image of a DM sequent: the folded antecedent implies the translated goal."""
-    ant = [f_godel_gentzen(s.antecedent)] if s.antecedent else [TOP_ALG]
-    return sequent(target, ant, f_godel_gentzen(s.succedent))
+    return sequent(target, [f_godel_gentzen(s.antecedent)], f_godel_gentzen(s.succedent))
 
 
 def double_negate(x):
     """~~ prefixed to a term, or memberwise to a multiset."""
     if isinstance(x, Term):
         return Neg(Neg(x))
-    return tuple(Neg(Neg(m)) for m in x)
+    return tuple(Neg(Neg(m)) for m in _members(x))
 
 
 class ClassRegistry:
@@ -242,7 +241,7 @@ def g_glivenko(x):
     """(x -> F) -> F on a term, memberwise on a multiset."""
     if isinstance(x, Term):
         return Imp(Imp(x, BOT), BOT)
-    return tuple(Imp(Imp(m, BOT), BOT) for m in x)
+    return tuple(Imp(Imp(m, BOT), BOT) for m in _members(x))
 
 
 def g_sequent(s: Sequent) -> Sequent:

@@ -299,3 +299,15 @@ def test_import_loads_no_dataclasses_inspect_or_json():
                        capture_output=True, text=True, env=env)
     assert r.returncode == 0, r.stderr
     assert r.stdout.strip() == ""
+
+
+def test_import_loads_no_threading():
+    # -S: no site hook preloads threading, so the import alone is measured
+    code = ("import sys; before = set(sys.modules); import morgankit; "
+            "print('threading' in set(sys.modules) - before)")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = SRC + os.pathsep + env.get("PYTHONPATH", "")
+    r = subprocess.run([sys.executable, "-S", "-c", code],
+                       capture_output=True, text=True, env=env)
+    assert r.returncode == 0, r.stderr
+    assert r.stdout.strip() == "False"

@@ -240,6 +240,20 @@ def test_eager_search_agrees_with_exhaustive_dm():
             print_sequent(s)
 
 
+@pytest.mark.parametrize("calc,seed", [("sdm", 17), ("dm", 18)])
+def test_invertible_commits_lose_no_derivation(calc, seed):
+    # derive commits to invertible rules; the bounded search commits to
+    # none, and at this bound it is exhaustive, since every SDM/DM rule
+    # lowers the weight
+    eng = SearchEngine()
+    goals = generate_sequents(calc, 1500, CorpusConfig(seed=seed, max_depth=4),
+                              max_weight=30)
+    assert sum(derivable(calc, s, eng) for s in goals) > 300
+    for s in goals:
+        assert derivable_within_height(calc, s, 10**6, eng) == derivable(calc, s, eng), \
+            print_sequent(s)
+
+
 def test_int_loopcheck_agrees_with_bounded_search():
     cfg = CorpusConfig(seed=15, max_depth=2, max_antecedent=2)
     eng = SearchEngine()

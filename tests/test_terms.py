@@ -110,3 +110,88 @@ def test_records_are_not_member_collections():
         with pytest.raises(TypeError):
             dm_weight(record)
         assert variables(record) == frozenset()
+
+
+_NS_RANK = {"base": 0, "primed": 1, "doubled": 2, "class": 3}
+_RANK = {And: 3, Or: 4, Imp: 5}
+
+
+def _reference_key(x):
+    """The canonical sort key, recomputed from the node's structure."""
+    if isinstance(x, Struct):
+        return (1 if x.star else 0, _reference_key(x.term))
+    if type(x) is Var:
+        return (0, _NS_RANK[x.ns], x.name)
+    if x is BOT:
+        return (1,)
+    if type(x) is Neg:
+        return (2, _reference_key(x.arg))
+    return (_RANK[type(x)], _reference_key(x.left), _reference_key(x.right))
+
+
+def _subterms(t):
+    yield t
+    if type(t) is Neg:
+        yield from _subterms(t.arg)
+    elif type(t) in _RANK:
+        yield from _subterms(t.left)
+        yield from _subterms(t.right)
+
+
+def test_keys_match_recursive_reference():
+    import random
+    from morgankit.corpus import random_term
+    cfg = CorpusConfig(seed=0, max_depth=5, variables=("p", "q", "r"))
+    rng = random.Random(31)
+    for imp in (False, True):
+        for _ in range(400):
+            t = random_term(rng, cfg, imp=imp)
+            for x in _subterms(t):
+                assert x.key() == _reference_key(x)
+            if not imp:
+                for st in (Struct(False, t), starred(t)):
+                    assert st.key() == _reference_key(st)
+    for calc in ("sdm", "dm", "int", "cl"):
+        for s in generate_sequents(calc, 200, CorpusConfig(seed=32)):
+            keys = [_reference_key(m) for m in s.antecedent]
+            assert keys == sorted(keys)
+    for ns in _NS_RANK:
+        v = Var("kv", ns)
+        assert v.key() == _reference_key(v)
+
+
+def test_parsed_nodes_carry_their_key():
+    # fresh names, so every node below is built by this parse
+    t = parse_term("~(ka & ~kb) | ((kc & F) | ~~ka)")
+    for x in _subterms(t):
+        assert x._key is not None and x._key == _reference_key(x)
+    from morgankit import parse_sequent
+    s = parse_sequent("*(kd | ke), ~kf => *~(kd & kg)", "sdm")
+    for m in s.antecedent + (s.succedent,):
+        assert m._key is not None and m._key == _reference_key(m)
+
+
+def test_constructors_and_translations_reject_non_terms():
+    from morgankit import (
+        Partition, derive, double_negate, f_godel_gentzen, g_glivenko,
+        parse_sequent, t_flatten,
+    )
+    p = Var("p")
+    s = parse_sequent("p => p", "sdm")
+    for build in (lambda: Neg(3), lambda: Neg("abc"), lambda: Neg(starred(p)),
+                  lambda: Neg(s), lambda: And(p, "q"), lambda: Or(None, p),
+                  lambda: Imp(p, starred(p)), lambda: Var(3), lambda: Var(None, "primed")):
+        with pytest.raises(TypeError):
+            build()
+    d = derive("sdm", s)
+    part = Partition.of([starred(p)], [])
+    for fn, arg in ((g_glivenko, ["x"]), (g_glivenko, d), (double_negate, [s]),
+                    (double_negate, d), (double_negate, "p"), (t_flatten, d),
+                    (t_flatten, part), (t_flatten, [s, "q"]), (t_flatten, 3),
+                    (f_godel_gentzen, d), (f_godel_gentzen, part), (f_godel_gentzen, s)):
+        with pytest.raises(TypeError):
+            fn(arg)
+    # the domain itself is unchanged
+    assert t_flatten(s) is p and t_flatten([Struct(False, p)]) is p
+    assert double_negate([p]) == (Neg(Neg(p)),) and g_glivenko((p,)) == (Imp(Imp(p, BOT), BOT),)
+    assert f_godel_gentzen([]) is Neg(BOT) and t_flatten(starred(p)) is Neg(p)
