@@ -18,6 +18,12 @@ left-associative)::
 implicational one; ``~x`` abbreviates ``x -> F`` when parsing INT/CL input.
 Primed, doubled and ``#k`` variables are reserved for translation output and
 rejected in SDM/DM input.
+
+A parse checks the whole text with one regular expression, reads its token
+strings with a second, and builds each node bottom-up on flat stacks; token
+positions are recomputed only when a ParseError is raised.  The grammar
+keeps a parsed sequent in its calculus's language, so parse_sequent builds
+the Sequent without the language check that sequent() makes.
 """
 
 from __future__ import annotations
@@ -26,7 +32,7 @@ import re
 from collections import namedtuple
 
 from .terms import (
-    BASE, BOT, CLASS, DM, DOUBLED, PRIMED, SDM,
+    BASE, BOT, CALCULI, CLASS, DM, DOUBLED, PRIMED, SDM, TOP_ALG, TOP_IMP,
     And, Imp, Neg, Or, Sequent, Struct, Term, Var,
     plain, sequent, starred,
 )
@@ -49,46 +55,25 @@ class NamespaceError(ParseError):
     """A reserved translation-output variable appeared in SDM/DM input."""
 
 
-_TOKEN_RE = re.compile(
-    r"\s*(?:(?P<var>[a-zA-Z_][a-zA-Z0-9_]*(?:'{1,2})?|#k[0-9]+)"
-    r"|(?P<arrow>->)|(?P<seq>=>)"
-    r"|(?P<punct>[~&|*(),;]))"
-)
+# One token.  An identifier or a #k name never stops short of a following
+# letter or digit, so _TEXT_RE backtracks in linear time on text it rejects.
+_TOKEN = (r"[a-zA-Z_][a-zA-Z0-9_]*(?![a-zA-Z0-9_])(?:'{1,2})?|#k[0-9]+(?![0-9])"
+          r"|->|=>|[~&|*(),;]")
+_TEXT_RE = re.compile(rf"(?:\s*(?:{_TOKEN}))*\s*")
+_TOKEN_RE = re.compile(rf"\s*({_TOKEN})")
 
 
-def _tokenize(text: str):
-    tokens = []
-    pos = 0
-    n = len(text)
-    while pos < n:
-        m = _TOKEN_RE.match(text, pos)
-        if m is None:
-            rest = text[pos:].lstrip()
-            if not rest:
-                break
-            at = n - len(rest)
-            raise ParseError(f"unexpected character {rest[0]!r}", at)
-        kind = m.lastgroup
-        tokens.append((m.group(kind), m.start(kind)))
-        pos = m.end()
-    tokens.append((None, n))
+def _tokens(text: str) -> list:
+    """The token strings of text, then None for its end."""
+    if _TEXT_RE.fullmatch(text) is None:
+        pos = 0
+        while (m := _TOKEN_RE.match(text, pos)) is not None:
+            pos = m.end()
+        rest = text[pos:].lstrip()
+        raise ParseError(f"unexpected character {rest[0]!r}", len(text) - len(rest))
+    tokens = _TOKEN_RE.findall(text)
+    tokens.append(None)
     return tokens
-
-
-def _var_from_token(tok: str, pos: int, language: str) -> Var:
-    if tok.startswith("#k"):
-        ns, name = CLASS, tok[1:]
-    elif tok.endswith("''"):
-        ns, name = DOUBLED, tok[:-2]
-    elif tok.endswith("'"):
-        ns, name = PRIMED, tok[:-1]
-    else:
-        ns, name = BASE, tok
-    if language == SDM_DM and ns != BASE:
-        raise NamespaceError(
-            f"variable {tok!r} belongs to a reserved translation namespace", pos
-        )
-    return Var(name, ns)
 
 
 #: How deep a term may nest: at most this many connectives on any path from
@@ -98,137 +83,161 @@ MAX_NESTING = 256
 
 _PREC_IMP, _PREC_OR, _PREC_AND, _PREC_UNARY = 0, 1, 2, 3
 
-# binary operator token -> (precedence, constructor)
-_BINARY = {"->": (_PREC_IMP, Imp), "|": (_PREC_OR, Or), "&": (_PREC_AND, And)}
+# binary operator token -> precedence, and -> constructor; "(" is the floor
+# that reduction stops at
+_BINARY = {"->": _PREC_IMP, "|": _PREC_OR, "&": _PREC_AND}
+_PREC = {"(": -1, **_BINARY}
+_CTOR = {"->": Imp, "|": Or, "&": And}
 
-# how each language reads ~x
-_NEGATE = {SDM_DM: Neg, INT_CL: lambda x: Imp(x, BOT)}
+_TOO_DEEP = f"nested deeper than {MAX_NESTING} levels"
 
 
-def _apply(op, left, node: Term, depth: int):
-    """Apply a pending operator to its operands, each a (term, depth) pair."""
-    _, ctor, pos = op
-    if left is not None:
-        node = ctor(left[0], node)
-        depth = max(left[1], depth)
-    else:
-        node = ctor(node)
-    if depth >= MAX_NESTING:
-        raise ParseError(f"nested deeper than {MAX_NESTING} levels", pos)
-    return node, depth + 1
+def _not_imp(x: Term) -> Term:
+    """~x as the implicational language reads it."""
+    return Imp(x, BOT)
 
 
 class _Parser:
+    """One parse: the token strings, a cursor, and the atoms read so far."""
+
     def __init__(self, text: str, language: str):
         if language not in (SDM_DM, INT_CL):
             raise ValueError(f"unknown language {language!r}")
-        self.tokens = _tokenize(text)
+        self.text = text
+        self.tokens = _tokens(text)
         self.i = 0
-        self.language = language
+        self.sdm_dm = sdm_dm = language == SDM_DM
+        # token -> node; each variable is resolved once per parse
+        self.atoms = {"F": BOT, "T": TOP_ALG if sdm_dm else TOP_IMP}
 
-    def peek(self):
-        return self.tokens[self.i][0]
+    def error(self, message: str, i: int, kind=ParseError) -> ParseError:
+        """The error at token i; token positions are found only now."""
+        starts = [m.start(1) for m in _TOKEN_RE.finditer(self.text)]
+        starts.append(len(self.text))
+        return kind(message, starts[i])
 
-    def pos(self):
-        return self.tokens[self.i][1]
-
-    def take(self):
-        tok = self.tokens[self.i]
-        self.i += 1
-        return tok
-
-    def expect(self, tok: str):
-        got, pos = self.take()
-        if got != tok:
-            raise ParseError(f"expected {tok!r}, found {got!r}", pos)
+    def var(self, i: int) -> Var:
+        """The variable token i names; any other token there is an error."""
+        tok = self.tokens[i]
+        if tok is None or not (tok[0].isalpha() or tok[0] in "_#"):
+            raise self.error(f"expected a term, found {tok!r}", i)
+        if tok.startswith("#k"):
+            ns, name = CLASS, tok[1:]
+        elif tok.endswith("''"):
+            ns, name = DOUBLED, tok[:-2]
+        elif tok.endswith("'"):
+            ns, name = PRIMED, tok[:-1]
+        else:
+            ns, name = BASE, tok
+        if self.sdm_dm and ns != BASE:
+            raise self.error(
+                f"variable {tok!r} belongs to a reserved translation namespace",
+                i, NamespaceError)
+        self.atoms[tok] = v = Var(name, ns)
+        return v
 
     def term(self) -> Term:
         """Operator-precedence parse on explicit stacks, so deeply nested
         input costs no recursion; past MAX_NESTING connectives on one path
         it raises ParseError at the operator that goes too deep."""
         tokens = self.tokens
+        atoms = self.atoms
+        top = atoms["T"]
+        sdm_dm = self.sdm_dm
+        negate = Neg if sdm_dm else _not_imp
         i = self.i
-        negate = _NEGATE[self.language]
-        lefts = []   # (term, depth) of the left operand of each pending binary operator
-        ops = []     # (precedence, constructor, position) of pending operators,
-                     # "(" with precedence -1 and "~" with _PREC_UNARY
+        ops = []     # token indices of the pending operators, "(" and "~" included
+        lefts = []   # left operand, then its depth, of each pending binary operator
         opened = 0   # pending "("
         while True:
-            tok, pos = tokens[i]
-            i += 1
+            tok = tokens[i]
             while tok == "~" or tok == "(":
                 if tok == "(":
-                    ops.append((-1, None, pos))
                     opened += 1
-                else:
-                    ops.append((_PREC_UNARY, negate, pos))
-                tok, pos = tokens[i]
+                ops.append(i)
                 i += 1
-            node, depth = self._atom(tok, pos)
+                tok = tokens[i]
+            node = atoms.get(tok)
+            if node is None:
+                node = self.var(i)
+            depth = 1 if node is top else 0
+            i += 1
             while True:
-                while ops and ops[-1][0] == _PREC_UNARY:
-                    node, depth = _apply(ops.pop(), None, node, depth)
-                if tokens[i][0] != ")" or not opened:
+                while ops and tokens[ops[-1]] == "~":
+                    if depth >= MAX_NESTING:
+                        raise self.error(_TOO_DEEP, ops[-1])
+                    ops.pop()
+                    node = negate(node)
+                    depth += 1
+                tok = tokens[i]
+                prec = _BINARY.get(tok)
+                if prec is None:
+                    if opened and tok != ")":
+                        raise self.error(f"expected ')', found {tok!r}", i)
+                    floor = _PREC_IMP  # a ")" or the end reduces down to "("
+                elif prec == _PREC_IMP and sdm_dm:
+                    raise self.error("'->' is not part of the SDM/DM language", i)
+                else:
+                    floor = prec
+                while ops and _PREC[tokens[ops[-1]]] >= floor:
+                    j = ops.pop()
+                    left_depth = lefts.pop()
+                    if left_depth > depth:
+                        depth = left_depth
+                    if depth >= MAX_NESTING:
+                        raise self.error(_TOO_DEEP, j)
+                    node = _CTOR[tokens[j]](lefts.pop(), node)
+                    depth += 1
+                if prec is not None or not opened:
                     break
-                i += 1
-                while ops[-1][0] >= 0:
-                    node, depth = _apply(ops.pop(), lefts.pop(), node, depth)
                 ops.pop()
                 opened -= 1
-            tok, pos = tokens[i]
-            op = _BINARY.get(tok)
-            if op is None:
-                break
+                i += 1
+            if prec is None:
+                self.i = i
+                return node
+            lefts.append(node)
+            lefts.append(depth)
+            ops.append(i)
             i += 1
-            if op[1] is Imp and self.language == SDM_DM:
-                raise ParseError("'->' is not part of the SDM/DM language", pos)
-            while ops and ops[-1][0] >= op[0]:
-                node, depth = _apply(ops.pop(), lefts.pop(), node, depth)
-            lefts.append((node, depth))
-            ops.append((op[0], op[1], pos))
-        if opened:
-            raise ParseError(f"expected ')', found {tok!r}", pos)
-        while ops:
-            node, depth = _apply(ops.pop(), lefts.pop(), node, depth)
-        self.i = i
-        return node
 
-    def _atom(self, tok, pos: int):
-        if tok == "F":
-            return BOT, 0
-        if tok == "T":
-            return (Neg(BOT) if self.language == SDM_DM else Imp(BOT, BOT)), 1
-        if tok is not None and (tok[0].isalpha() or tok[0] in "_#"):
-            return _var_from_token(tok, pos, self.language), 0
-        raise ParseError(f"expected a term, found {tok!r}", pos)
-
-    def item(self, calculus: str):
-        if self.peek() == "*":
-            _, pos = self.take()
-            if calculus != SDM:
-                raise ParseError("starred structures occur only in SDM sequents", pos)
+    def item(self, sdm: bool):
+        """A member; SDM members are structures, which alone may be starred."""
+        i = self.i
+        if self.tokens[i] == "*":
+            if not sdm:
+                raise self.error("starred structures occur only in SDM sequents", i)
+            self.i = i + 1
             return starred(self.term())
         t = self.term()
-        return plain(t) if calculus == SDM else t
+        return plain(t) if sdm else t
 
-    def items(self, calculus: str, stop: tuple):
+    def items(self, sdm: bool, stop: str) -> list:
         out = []
-        if self.peek() in stop:
+        if self.tokens[self.i] == stop:
             return out
-        out.append(self.item(calculus))
-        while self.peek() == ",":
-            self.take()
-            out.append(self.item(calculus))
+        out.append(self.item(sdm))
+        while self.tokens[self.i] == ",":
+            self.i += 1
+            out.append(self.item(sdm))
         return out
 
+    def expect(self, tok: str):
+        got = self.tokens[self.i]
+        if got != tok:
+            raise self.error(f"expected {tok!r}, found {got!r}", self.i)
+        self.i += 1
+
     def end(self):
-        tok, pos = self.take()
+        tok = self.tokens[self.i]
         if tok is not None:
-            raise ParseError(f"trailing input {tok!r}", pos)
+            raise self.error(f"trailing input {tok!r}", self.i)
 
 
-def _language_of(calculus: str) -> str:
-    return SDM_DM if calculus in (SDM, DM) else INT_CL
+def _parser(text: str, calculus: str) -> _Parser:
+    if calculus not in CALCULI:
+        raise ValueError(f"unknown calculus {calculus!r}")
+    return _Parser(text, SDM_DM if calculus in (SDM, DM) else INT_CL)
 
 
 def parse_term(text: str, language: str = SDM_DM) -> Term:
@@ -242,28 +251,32 @@ def parse_term(text: str, language: str = SDM_DM) -> Term:
 def parse_structure(text: str) -> Struct:
     """Parse a basic SDM-structure: a term with an optional leading star."""
     p = _Parser(text, SDM_DM)
-    s = p.item(SDM)
+    s = p.item(True)
     p.end()
     return s
 
 
 def parse_sequent(text: str, calculus: str) -> Sequent:
-    p = _Parser(text, _language_of(calculus))
-    ants = p.items(calculus, stop=("=>",))
+    """Parse "G => b"; the grammar keeps the result in the calculus's
+    language, so the sequent is built without a second walk."""
+    p = _parser(text, calculus)
+    sdm = calculus == SDM
+    ants = p.items(sdm, "=>")
     p.expect("=>")
-    succ = p.item(calculus)
+    succ = p.item(sdm)
     p.end()
-    return sequent(calculus, ants, succ)
+    return Sequent(calculus, ants, succ)
 
 
 def parse_partition(text: str, calculus: str):
     """Parse "G1 ; G2 => b" into (left members, right members, succedent)."""
-    p = _Parser(text, _language_of(calculus))
-    left = p.items(calculus, stop=(";",))
+    p = _parser(text, calculus)
+    sdm = calculus == SDM
+    left = p.items(sdm, ";")
     p.expect(";")
-    right = p.items(calculus, stop=("=>",))
+    right = p.items(sdm, "=>")
     p.expect("=>")
-    succ = p.item(calculus)
+    succ = p.item(sdm)
     p.end()
     return tuple(left), tuple(right), succ
 

@@ -1,17 +1,22 @@
+import hashlib
 import json
+import random
+from collections import Counter
 
 import pytest
-from hypothesis import example, given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from morgankit import (
     BOT, And, Imp, Neg, Or, SearchEngine, Var,
     NamespaceError, ParseError,
     canonical_form, check_derivation, complexity, dm_weight, parse_sequent,
-    parse_term, plain, print_term, proof_from_obj, proof_to_obj, sdm_weight,
-    sequent, starred, sequent_from_obj, sequent_to_obj, term_from_obj,
-    term_to_obj,
+    parse_term, plain, print_sequent, print_structure, print_term,
+    proof_from_obj, proof_to_obj, sdm_weight, sequent, starred,
+    sequent_from_obj, sequent_to_obj, term_from_obj, term_to_obj,
 )
-from morgankit.syntax import INT_CL, MAX_NESTING, SDM_DM, parse_partition
+from morgankit.syntax import (
+    INT_CL, MAX_NESTING, SDM_DM, parse_partition, parse_structure,
+)
 
 p, q, r = Var("p"), Var("q"), Var("r")
 
@@ -168,6 +173,46 @@ def test_canonical_form_idempotent_and_permutation_invariant(s, rng):
     assert sequent("sdm", shuffled, s.succedent) == s
 
 
+@st.composite
+def _sequents(draw):
+    calc = draw(st.sampled_from(["sdm", "dm", "int", "cl"]))
+    if calc == "sdm":
+        return draw(_sdm_sequents())
+    terms = _alg_terms() if calc == "dm" else _imp_terms()
+    return sequent(calc, draw(st.lists(terms, max_size=4)), draw(terms))
+
+
+@given(_sequents())
+def test_roundtrip_sequents(s):
+    assert parse_sequent(print_sequent(s), s.calculus) == s
+
+
+@given(_sequents(), st.randoms())
+def test_roundtrip_partitions(s, rng):
+    members = list(s.antecedent)
+    rng.shuffle(members)
+    cut = rng.randrange(len(members) + 1)
+    left, right = members[:cut], members[cut:]
+    text = "{} ; {} => {}".format(
+        ", ".join(map(print_structure, left)),
+        ", ".join(map(print_structure, right)),
+        print_structure(s.succedent))
+    got_left, got_right, succ = parse_partition(text, s.calculus)
+    assert Counter(got_left) == Counter(left)
+    assert Counter(got_right) == Counter(right)
+    assert succ is s.succedent
+
+
+@pytest.mark.parametrize("calc", ["SDM", "bogus"])
+def test_unknown_calculus_rejected_before_parsing(calc):
+    for parse, text in ((parse_sequent, "p => q"), (parse_partition, "p ; q => r"),
+                        (parse_partition, "p @ q")):
+        with pytest.raises(ValueError) as e:
+            parse(text, calc)
+        assert type(e.value) is ValueError
+        assert str(e.value) == f"unknown calculus {calc!r}"
+
+
 @given(_sdm_sequents())
 def test_weight_monotone_under_weakening(s):
     bigger = sequent("sdm", list(s.antecedent) + [plain(p)], s.succedent)
@@ -266,3 +311,124 @@ def test_accepted_var_names_roundtrip(pair):
     v = term_from_obj({"op": "var", "name": name, "ns": ns})
     assert v is Var(name, ns)
     assert parse_term(print_term(v), INT_CL) is v
+
+
+# --- pinned parser behaviour ----------------------------------------------------
+
+# Seeded texts for the parser-behaviour digest: grammar-generated sequents,
+# partitions and terms in either language, the same with one token dropped or
+# inserted, random token soup with stray characters, and nesting at and past
+# MAX_NESTING.
+_SOUP = ["p", "q", "r", "x1", "_y", "T", "F", "p'", "q''", "#k2",
+         "~", "~", "&", "|", "->", "(", ")", "*", ",", ";", "=>",
+         "@", "-", "'", "#k", "=", "1", "pq'''", "#k0x", "\t", ""]
+_ALG = (["p", "q", "r", "x1", "_y", "T", "F"], [" & ", "&", " | ", "|"])
+_IMP = (_ALG[0] + ["p'", "q''", "#k2"], _ALG[1] + [" -> ", "->"])
+
+
+def _term_text(rng, lang, depth):
+    atoms, ops = lang
+    if depth == 0 or rng.random() < 0.3:
+        return rng.choice(atoms)
+    k = rng.randrange(5)
+    if k == 0:
+        return "~" + _term_text(rng, lang, depth - 1)
+    if k == 1:
+        return "(" + _term_text(rng, lang, depth - 1) + ")"
+    return (_term_text(rng, lang, depth - 1) + rng.choice(ops)
+            + _term_text(rng, lang, depth - 1))
+
+
+def _member_text(rng, lang):
+    star = "*" if rng.random() < (0.25 if lang is _ALG else 0.02) else ""
+    return star + _term_text(rng, lang, rng.randrange(5))
+
+
+def _members_text(rng, lang):
+    return ", ".join(_member_text(rng, lang) for _ in range(rng.randrange(4)))
+
+
+def _grammar_text(rng):
+    lang = rng.choice([_ALG, _IMP])
+    k = rng.randrange(3)
+    if k == 0:
+        return _term_text(rng, lang, rng.randrange(6))
+    succ = _member_text(rng, lang)
+    if k == 1:
+        return f"{_members_text(rng, lang)} => {succ}"
+    return f"{_members_text(rng, lang)} ; {_members_text(rng, lang)} => {succ}"
+
+
+def _mutated(rng, text):
+    toks = text.split(" ")
+    i = rng.randrange(len(toks) + 1)
+    if rng.random() < 0.5 and toks:
+        del toks[min(i, len(toks) - 1)]
+    else:
+        toks.insert(i, rng.choice(_SOUP))
+    return " ".join(toks)
+
+
+def _soup(rng):
+    sep = rng.choice(["", " ", "  "])
+    return sep.join(rng.choice(_SOUP) for _ in range(rng.randrange(1, 12)))
+
+
+def _nesting_texts():
+    for d in (255, 256, 300):
+        yield "~" * d + "p"
+        yield "~" * d + "T"
+        yield "p" + " & p" * d
+        yield "p" + " -> q" * d
+        yield "(" * d + "p" + " | p)" * d
+        yield "~" * d + "p => p"
+        yield "~" * (d - 1) + "(p & q) ; p => *" + "~" * d + "q"
+
+
+def _pinned_texts(count=20000, seed=2024):
+    rng = random.Random(seed)
+    yield from _nesting_texts()
+    for _ in range(count):
+        k = rng.randrange(3)
+        if k == 0:
+            yield _grammar_text(rng)
+        elif k == 1:
+            yield _mutated(rng, _grammar_text(rng))
+        else:
+            yield _soup(rng)
+
+
+_PARSERS = [("term/" + lang, lambda t, lang=lang: parse_term(t, lang))
+            for lang in (SDM_DM, INT_CL)]
+_PARSERS.append(("structure", parse_structure))
+for _calc in ("sdm", "dm", "int", "cl"):
+    _PARSERS.append(("sequent/" + _calc, lambda t, c=_calc: parse_sequent(t, c)))
+    _PARSERS.append(("partition/" + _calc, lambda t, c=_calc: parse_partition(t, c)))
+
+
+def test_parser_behaviour_pinned_by_digest():
+    # every parser on every text: the repr of the result, or the type and
+    # message (with its position) of the exception
+    h = hashlib.sha256()
+    parsed = 0
+    for text in _pinned_texts():
+        for name, parse in _PARSERS:
+            try:
+                out = repr(parse(text))
+                parsed += 1
+            except Exception as e:
+                out = f"{type(e).__name__}: {e}"
+            h.update(f"{name}\t{text!r}\t{out}\n".encode())
+    assert parsed == 18345
+    assert h.hexdigest() == (
+        "2541cb674beeaaa20460c90247081728fadaa966944e23c7f1e3b521db816622")
+
+
+@settings(max_examples=300)
+@given(st.one_of(st.text(), st.lists(st.sampled_from(_SOUP)).map(" ".join)))
+def test_any_text_parses_or_raises_parse_error(text):
+    for _, parse in _PARSERS:
+        try:
+            parse(text)
+        except ParseError:
+            pass
