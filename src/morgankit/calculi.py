@@ -27,8 +27,10 @@ k >= 2 chosen starred occurrences.  Both are sound: a |-> ~~a maps every
 semi-De Morgan algebra homomorphically onto the De Morgan algebra of its
 ~~-closed elements, so ~psi_1 & ... & ~psi_k <= ~phi holds in every SDM
 algebra iff phi <= psi_1 | ... | psi_k holds in every DM algebra.  The
-family is what makes G3SDM derive what SDM algebras validate; ``*`` stays so
-that every derivation it appears in still replays.
+family is what makes G3SDM derive what SDM algebras validate, and search
+closes every starred succedent with it.  ``*`` stays in the table so that
+every derivation it appears in still replays, and the height-bounded search
+still considers it.
 """
 
 from __future__ import annotations
@@ -73,40 +75,29 @@ def _with_succ(goal: Sequent, succ) -> Sequent:
 # Rule labels search may commit to eagerly: inverting them preserves both
 # derivability and refutability, which keeps the explored tree small.
 #
-# SDM needs care around the star rule ``*``, which may consume a starred
-# member with an obligation weaker than the member's decomposition provides:
-# for ``*`` alone, under a starred succedent the starred-member
-# decompositions (*|=>, *~&=>, *~~=>) are not invertible, and =>*~~ never is
-# (its premiss strengthens the obligation ~~phi => rho to phi => rho, and phi
-# below ~~phi is not an SDM law).  The star family's G3DM premisses read
-# these members up to DM equivalence, so search could commit to them as
-# well; it does not, which keeps every derivation found through ``*`` as it
-# was.  Plain-member rules are safe everywhere: a plain member is never
-# principal in a star rule.  =>*| and =>*~& are safe because the premiss of
-# ``*`` decomposes through the term-succedent inversion lemma, and that of
-# the star family through the invertible G3DM rules |=> and ~&=>.
-#
-# The star family comes last, and its first instance uses every starred
-# occurrence.  Every other instance has a premiss with fewer disjuncts, which
-# derives only if that first one's does (G3DM is complete for DM algebras),
-# so search commits to the family's first instance.
-_INVERTIBLE_STATIC = {
+# G3SDM and G3DM are sound and complete for their algebras, so a rule is
+# invertible when its premisses together say what its conclusion says.  In
+# G3SDM each listed rule but the star family rewrites one member into
+# equivalent ones: ~(a | b) = ~a & ~b, ~~(a & b) = ~~a & ~~b and ~~~a = ~a
+# hold in every SDM algebra, and the star family reads its G3DM premisses up
+# to DM equivalence.  The family's first instance uses every starred member;
+# the premiss of any other instance, and the SDM premiss phi => psi of ``*``,
+# derives only if that instance's premiss does (every DM algebra is an SDM
+# algebra, and G3DM is complete).  So search commits to that first instance
+# and never tries ``*``.
+_INVERTIBLE = {
+    SDM: frozenset({"&=>", "|=>", "~=>", "=>&", "=>~", "=>*|", "=>*~&", "=>*~~",
+                    "*|=>", "*~&=>", "*~~=>", "*0", "*1", "*n"}),
     DM: frozenset({"&=>", "|=>", "~&=>", "~|=>", "~~=>", "=>&", "=>~|", "=>~~"}),
     INT: frozenset({"&L", "&R", "|L", "->R"}),
     CL: frozenset({"&L", "&R", "|L", "->R"}),
 }
 
-_SDM_ALWAYS = frozenset({"&=>", "|=>", "~=>", "=>&", "=>~", "=>*|", "=>*~&"})
-_SDM_PLAIN_SUCC_ONLY = frozenset({"*|=>", "*~&=>", "*~~=>"})
 STAR_FAMILY = frozenset({"*0", "*1", "*n"})
 
 
 def invertible(label: str, goal: Sequent) -> bool:
-    if goal.calculus != SDM:
-        return label in _INVERTIBLE_STATIC[goal.calculus]
-    if label in _SDM_ALWAYS or label in STAR_FAMILY:
-        return True
-    return label in _SDM_PLAIN_SUCC_ONLY and not goal.succedent.star
+    return label in _INVERTIBLE[goal.calculus]
 
 
 def iter_g3sdm(goal: Sequent) -> Iterator[RuleInstance]:
@@ -189,14 +180,14 @@ def iter_g3sdm(goal: Sequent) -> Iterator[RuleInstance]:
         yield RuleInstance("=>|1", goal, (_with_succ(goal, plain(st.left)),), -1)
         yield RuleInstance("=>|2", goal, (_with_succ(goal, plain(st.right)),), -1)
 
-    # the star rules: from phi => psi infer *psi, Gamma => *phi, then the
-    # star family with its G3DM premisses
+    # the star family with its G3DM premisses, then the star rule: from
+    # phi => psi infer *psi, Gamma => *phi
     if succ.star:
+        yield from _star_family(goal)
         for i, m in enumerate(ants):
             if m.star:
                 premiss = Sequent(SDM, (plain(st),), plain(m.term))
                 yield RuleInstance("*", goal, (premiss,), i)
-        yield from _star_family(goal)
 
 
 def _star_family(goal: Sequent) -> Iterator[RuleInstance]:

@@ -7,6 +7,7 @@ nothing on stderr, when the reader closes stdout before the output is
 written.
 Batch mode reads one sequent per line from stdin and emits JSON lines; it
 takes no sequent argument, --height or --format (each a usage error).
+translate takes --registry only with --map k.
 """
 
 from __future__ import annotations
@@ -103,11 +104,6 @@ def _cmd_interpolate(args) -> int:
     return EXIT_OK
 
 
-def _nn_sequent(s):
-    return mk_sequent(SDM, translations.double_negate(s.antecedent),
-                      translations.double_negate(s.succedent))
-
-
 def _cmd_translate(args) -> int:
     text = args.input
     reg = translations.ClassRegistry()
@@ -117,7 +113,7 @@ def _cmd_translate(args) -> int:
         image = {
             "t": translations.t_sequent,
             "f": translations.f_sequent,
-            "nn": _nn_sequent,
+            "nn": translations.nn_sequent,
             "k": lambda x: translations.k_sequent(x, reg),
             "h": translations.h_sequent,
             "g": translations.g_sequent,
@@ -136,7 +132,7 @@ def _cmd_translate(args) -> int:
             "g": translations.g_glivenko,
         }[args.map](t)
         print(syntax.print_term(out))
-    if args.map == "k" and args.registry:
+    if args.registry:
         with open(args.registry, "w") as fh:
             json.dump(reg.as_obj(), fh, indent=2, sort_keys=True)
     return EXIT_OK
@@ -255,7 +251,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("input")
     p.add_argument("--registry", default=None,
                    help="sidecar JSON path for k's class-variable registry")
-    p.set_defaults(func=_cmd_translate)
+    p.set_defaults(func=_cmd_translate, usage_error=p.error)
 
     p = sub.add_parser("check-embedding", help="embedding agreement report")
     p.add_argument("--kind", required=True, choices=list(translations.EMBEDDING_KINDS))
@@ -305,6 +301,9 @@ def main(argv=None) -> int:
             if args.batch and getattr(args, name, None) is not None:
                 args.usage_error(f"--batch takes no {shown}: it reads sequents "
                                  "from stdin and writes JSON lines")
+    if args.command == "translate" and args.registry is not None and args.map != "k":
+        args.usage_error("--registry takes only --map k: it saves the class "
+                         "variables that k introduces")
     try:
         status = args.func(args)
         sys.stdout.flush()

@@ -9,11 +9,11 @@ sequents: G3SDM search hands them to G3DM search, which never returns to
 G3SDM.  The engine additionally commits to the first applicable
 *invertible* rule (axioms first, then non-branching rules, then branching
 ones, the star rules last): by the inversion lemmas this changes neither
-derivability nor refutability, and it keeps the explored tree small.  Among
-the star rules it tries ``*`` first, so derivations found through it stay
-as they were, then commits to the star family's first instance: that one
-uses every starred member, and its premiss derives whenever the premiss of
-any other instance does.
+derivability nor refutability, and it keeps the explored tree small.  Search
+closes a starred succedent with the star family's first instance, which
+uses every starred member; the rule ``*`` comes after the family, so search
+never tries it, and it stays in the rule table only so that saved
+derivations replay and the height-bounded search can use it.
 
 For G3ip and G3ip + Gem-at the left implication rule keeps its principal
 formula, so weights do not decrease.  Search prunes a branch when the goal's
@@ -23,7 +23,9 @@ that no branch repeats a set form, hence pruning preserves completeness, and
 the set-form universe reachable from a goal is finite, hence search
 terminates.  Failures discovered under such pruning may depend on the
 ancestor context; they are memoised only when every prune event referenced
-an ancestor at or below the failing goal.
+an ancestor at or below the failing goal.  One exhaustive search serves all
+four calculi; below an SDM/DM root it skips the loop check, the identity
+derivation and the prefilter described next.
 
 An INT/CL goal whose succedent A occurs in its antecedent is derivable by
 the generalised identity lemma (Negri & von Plato, *Structural Proof
@@ -142,90 +144,70 @@ class SearchEngine:
     def derive(self, calculus: str, goal: Sequent) -> Optional[Derivation]:
         """A derivation of the goal, or None when exhaustive search refutes it."""
         if _checked(calculus, goal) in (SDM, DM):
-            return self._derive_wf(goal)
-        return self._derive_lc(goal, {}, 0, _TruthTables(goal))[0]
+            return self._derive(goal, None, None)
+        return self._derive(goal, {}, _TruthTables(goal))
 
     def derivable(self, calculus: str, goal: Sequent) -> bool:
         return self.derive(calculus, goal) is not None
 
-    def _derive_wf(self, goal: Sequent) -> Optional[Derivation]:
+    def _derive(self, goal: Sequent, path: Optional[dict],
+                tt: Optional["_TruthTables"]):
+        """A derivation, None when search fails in every context, or an int.
+
+        ``path`` maps the set forms of the goal's ancestors to their depths,
+        so the goal's own depth is ``len(path)``.  A failure caused by a
+        prune that hit an ancestor of this goal depends on the branch: it is
+        not memoised, and it returns the depth of the shallowest ancestor
+        such a prune hit.  ``path`` and ``tt`` are None below an SDM/DM
+        root: there weights fall strictly, and search needs no identity
+        derivation, prefilter or loop check.
+        """
         memo = self._witness
         hit = memo.get(goal, _BIG)
         if hit is not _BIG:
             return hit
+        if path is not None:
+            if goal.succedent in goal.antecedent:
+                return self._store(memo, goal, _identity(goal))
+            if tt.refutes(goal):
+                # G3ip and G3ip+Gem-at are sound for two-valued semantics, so
+                # a boolean countermodel refutes absolutely; this collapses
+                # the search space that the implication-left rule would
+                # otherwise re-explore exponentially.
+                return self._store(memo, goal, None)
+            sf = goal.setform()
+            seen_at = path.get(sf)
+            if seen_at is not None:
+                return seen_at
+            depth = len(path)
+            path[sf] = depth
         result = None
+        minref = _BIG
         for inst in iter_instances(goal):
             if not inst.premisses:
                 result = _node(inst, ())
                 break
-            committed = invertible(inst.label, goal)
             children = []
             for p in inst.premisses:
-                d = self._derive_wf(p)
+                d = self._derive(p, path, tt)
                 if d is None:
-                    children = None
+                    break
+                if d.__class__ is int:
+                    if d < minref:
+                        minref = d
                     break
                 children.append(d)
-            if children is not None:
+            else:
                 result = _node(inst, tuple(children))
                 break
-            if committed:
+            if invertible(inst.label, goal):
                 break
-        return self._store(memo, goal, result)
-
-    def _derive_lc(self, goal: Sequent, path: dict, depth: int,
-                   tt: "_TruthTables"):
-        memo = self._witness
-        hit = memo.get(goal, _BIG)
-        if hit is not _BIG:
-            return hit, _BIG
-        if goal.succedent in goal.antecedent:
-            return self._store(memo, goal, _identity(goal)), _BIG
-        if tt.refutes(goal):
-            # G3ip and G3ip+Gem-at are sound for two-valued semantics, so a
-            # boolean countermodel refutes absolutely; this collapses the
-            # search space that the implication-left rule would otherwise
-            # re-explore exponentially.
-            self._store(memo, goal, None)
-            return None, _BIG
-        sf = goal.setform()
-        seen_at = path.get(sf)
-        if seen_at is not None:
-            return None, seen_at
-        classical = goal.calculus == CL
-        result = None
-        minref = _BIG
-        path[sf] = depth
-        try:
-            for inst in iter_g3ip(goal, classical):
-                if not inst.premisses:
-                    result = _node(inst, ())
-                    break
-                committed = invertible(inst.label, goal)
-                children = []
-                for p in inst.premisses:
-                    d, mr = self._derive_lc(p, path, depth + 1, tt)
-                    if d is None:
-                        if mr < minref:
-                            minref = mr
-                        children = None
-                        break
-                    children.append(d)
-                if children is not None:
-                    result = _node(inst, tuple(children))
-                    break
-                if committed:
-                    break
-        finally:
+        if path is not None:
             del path[sf]
-        if result is not None:
-            self._store(memo, goal, result)
-            return result, _BIG
-        if minref >= depth:
-            # every prune referenced this subtree only: the failure is absolute
-            self._store(memo, goal, None)
-            return None, _BIG
-        return None, minref
+            if result is None and minref < depth:
+                return minref
+        # a failure is absolute when every prune referenced this subtree
+        return self._store(memo, goal, result)
 
     # -- height-exact search ----------------------------------------------
 

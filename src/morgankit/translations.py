@@ -74,6 +74,11 @@ def double_negate(x):
     return tuple(Neg(Neg(m)) for m in _members(x))
 
 
+def nn_sequent(s: Sequent) -> Sequent:
+    """Image of a DM sequent in G3SDM: ~~ prefixed to every member."""
+    return sequent(SDM, double_negate(s.antecedent), double_negate(s.succedent))
+
+
 class ClassRegistry:
     """Representatives of G3SDM-interderivability classes and their variables.
 
@@ -320,9 +325,7 @@ def check_embedding(kind: str, corpus, engine: Optional[SearchEngine] = None,
             tgt = eng.derivable(SDM, f_sequent(s))
         elif kind == "dm-glivenko-sdm":
             src = eng.derivable(DM, s)
-            image = sequent(SDM, double_negate(s.antecedent),
-                            double_negate(s.succedent))
-            tgt = eng.derivable(SDM, image)
+            tgt = eng.derivable(SDM, nn_sequent(s))
             printed = sequent(SDM, double_negate(s.antecedent), Neg(s.succedent))
             report.variant_total += 1
             if src == eng.derivable(SDM, printed):

@@ -128,6 +128,16 @@ def test_translate_k_writes_registry(tmp_path):
     assert obj["entries"][0]["representative"] == "~~(p | q)"
 
 
+def test_registry_needs_map_k(tmp_path):
+    # only k introduces class variables; with another map nothing is saved
+    reg = tmp_path / "registry.json"
+    for mapping, text in (("f", "p => q"), ("t", "*p => q"), ("nn", "~p")):
+        r = run_cli("translate", "--map", mapping, text, "--registry", str(reg))
+        assert r.returncode == 2, mapping
+        assert "--registry takes only --map k" in r.stderr and r.stdout == ""
+    assert not reg.exists()
+
+
 def test_translate_sequents():
     r = run_cli("translate", "--map", "t", "*p, q => *~p")
     assert r.stdout.strip() == "q & ~p => ~~p"

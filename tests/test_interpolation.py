@@ -3,10 +3,11 @@ import hashlib
 import pytest
 
 from morgankit import (
-    BOT, Neg, Or, SearchEngine, Var,
-    all_partitions, derive, interpolate, parse_partition, parse_sequent, plain,
-    print_sequent, print_structure, sequent, starred, t_flatten,
-    verify_interpolant, Partition, PartitionMismatchError,
+    BOT, Derivation, Neg, Or, SearchEngine, Var,
+    all_partitions, check_derivation, derive, expand_g3sdm, interpolate,
+    parse_partition, parse_sequent, plain, print_sequent, print_structure,
+    sequent, starred, t_flatten, verify_interpolant, Partition,
+    PartitionMismatchError,
 )
 from morgankit.calculi import STAR_FAMILY
 from morgankit.corpus import CorpusConfig, derivable_corpus
@@ -24,9 +25,15 @@ def test_identity_partitions():
 
 
 def test_star_rule_partitions():
+    # search closes starred succedents with the star family, so the ``*``
+    # derivation is built by hand: ``*`` over the SDM axiom p => p
     s = parse_sequent("*p => *p", "sdm")
-    d = derive("sdm", s)
-    assert d.rule == "*"
+    assert derive("sdm", s).rule == "*1"
+    (star,) = [i for i in expand_g3sdm(s) if i.label == "*"]
+    (premiss,) = star.premisses
+    axiom = Derivation(premiss, "Id", None, (), 0)
+    d = Derivation(s, "*", star.principal, (axiom,), 1)
+    assert check_derivation("sdm", d)
     r = interpolate("sdm", d, Partition.of([starred(p)], []))
     assert r.interpolant == starred(p)
     r = interpolate("sdm", d, Partition.of([], [starred(p)]))
@@ -203,7 +210,7 @@ def _interpolant_lines(calc, cfg, count, max_weight, eng):
 # derivable corpora per calculus; the second corpus, over two variables and
 # shallow terms, repeats members often, so the tie rule is exercised.
 INTERPOLANTS_SHA256 = {
-    "sdm": (3720, "3b4404155a8b20ff9d63dad69a7f7d7cce8d88c88ee55d38151ede2791d145c5"),
+    "sdm": (3720, "fe4224cf730e685eda8344c74f75056a8bc32369ef1ccb4925846cd375d072b3"),
     "dm": (3769, "32165e2dea88b695e253ed0a4b8087dea03a05b93cf4eb6f0969dbedf0702171"),
 }
 

@@ -1,6 +1,7 @@
 import hashlib
 import itertools
 import json
+import pathlib
 
 import pytest
 
@@ -11,7 +12,7 @@ from morgankit import (
     k_sequent, min_height, parse_sequent, plain, print_sequent,
     proof_from_obj, proof_to_obj, render, sequent, starred, variables,
 )
-from morgankit.calculi import iter_g3ip
+from morgankit.calculi import STAR_FAMILY, iter_g3ip
 from morgankit.corpus import CorpusConfig, derivable_corpus, generate_sequents
 from morgankit.search import _TruthTables, classically_refutable
 
@@ -164,7 +165,7 @@ def test_render_latex_star_family():
 # SHA-256 of render(d, "ascii") and render(d, "latex") over seeded derivations
 # in all four calculi, then over the derivable k images (in G3ip) that carry
 # #k class atoms.
-RENDER_SHA256 = (502, 11, "19832288e69a4ac6b0e24785ab83371e60fbcc35daedbf28d2e1316943e4f499")
+RENDER_SHA256 = (502, 11, "ea04af6e597f0dd443ea6c2dee83c8d887d46826fd67f8954232d4db7b4d42dc")
 
 
 def test_render_pinned_by_digest():
@@ -252,18 +253,78 @@ def test_eager_search_agrees_with_exhaustive_dm():
                for eng, s in _fresh_results("dm", 250, seed=14, max_weight=18)) > 50
 
 
-@pytest.mark.parametrize("calc,seed", [("sdm", 17), ("dm", 18)])
-def test_invertible_commits_lose_no_derivation(calc, seed):
+@pytest.mark.parametrize("calc,cfg,starred_succedent", [
+    pytest.param("sdm", CorpusConfig(seed=17, max_depth=4), False, id="sdm-17"),
+    pytest.param("dm", CorpusConfig(seed=18, max_depth=4), False, id="dm-18"),
+    # derive closes these with the star family alone, never with ``*``
+    pytest.param("sdm", CorpusConfig(seed=40, max_depth=4, star_prob=0.7), True,
+                 id="sdm-40-starred-succedent"),
+])
+def test_invertible_commits_lose_no_derivation(calc, cfg, starred_succedent):
     # derive commits to invertible rules; the bounded search commits to
     # none, and at this bound it is exhaustive, since every SDM/DM rule
     # lowers the weight
     eng = SearchEngine()
-    goals = generate_sequents(calc, 1500, CorpusConfig(seed=seed, max_depth=4),
-                              max_weight=30)
+    goals = [s for s in generate_sequents(calc, 1500, cfg, max_weight=30)
+             if not starred_succedent or s.succedent.star]
+    assert len(goals) > 900
     assert sum(derivable(calc, s, eng) for s in goals) > 300
     for s in goals:
         assert derivable_within_height(calc, s, 10**6, eng) == derivable(calc, s, eng), \
             print_sequent(s)
+
+
+def _rules(d):
+    return {d.rule}.union(*map(_rules, d.children))
+
+
+def test_derive_never_uses_star_rule():
+    eng = SearchEngine()
+    cfg = CorpusConfig(seed=81, max_depth=3, star_prob=0.7)
+    proofs = [d for d in (eng.derive("sdm", s) for s in
+                          generate_sequents("sdm", 800, cfg, max_weight=24))
+              if d is not None]
+    assert len(proofs) > 200
+    assert not any("*" in _rules(d) for d in proofs)
+    assert sum(bool(_rules(d) & STAR_FAMILY) for d in proofs) > 100
+
+
+def test_saved_star_proofs_replay():
+    # proof/v1 derivations that search wrote when it still tried ``*``
+    # before the star family; 16 of the 20 use ``*``
+    lines = (pathlib.Path(__file__).parent / "data" / "sdm_proofs_v1.jsonl"
+             ).read_text().splitlines()
+    proofs = [proof_from_obj(json.loads(line)) for line in lines]
+    assert sum("*" in _rules(d) for d in proofs) == 16
+    for d in proofs:
+        ok, diag = check_derivation_report("sdm", d)
+        assert ok, diag
+        assert derivable("sdm", d.sequent), print_sequent(d.sequent)
+
+
+# SHA-256 over seeded corpora in all four calculi, one starred-succedent
+# heavy: per goal, derivable, and for SDM/DM goals min_height too.
+VERDICT_SHA256 = (7500, "06e1a3bf2b5b4fa60c71e26a0dd0ecb9fa2fc0cab8721139f25714cbdfe033d5")
+
+
+def test_verdicts_pinned_by_digest():
+    h = hashlib.sha256()
+    lines = 0
+    for calc, seed, count, cfg, max_weight in (
+            ("sdm", 11, 2000, {}, 26),
+            ("sdm", 40, 1500, {"star_prob": 0.7, "max_depth": 4}, 30),
+            ("dm", 13, 2000, {}, 26),
+            ("int", 1, 1000, {}, None),
+            ("cl", 3, 1000, {}, None)):
+        eng = SearchEngine()
+        for s in generate_sequents(calc, count, CorpusConfig(seed=seed, **cfg),
+                                   max_weight=max_weight):
+            out = [calc, print_sequent(s), repr(eng.derivable(calc, s))]
+            if calc in ("sdm", "dm"):
+                out.append(repr(eng.min_height(calc, s)))
+            h.update("\t".join(out).encode() + b"\n")
+            lines += 1
+    assert (lines, h.hexdigest()) == VERDICT_SHA256
 
 
 def test_int_loopcheck_agrees_with_bounded_search():
@@ -348,7 +409,7 @@ def test_memo_limit_env(monkeypatch):
 # goal, min_height n; when n is not None, the proof JSON of
 # derive_within_height at n and at n + 1 and derivable_within_height at
 # n - 1; when it is None, derivable_within_height at 2.
-HEIGHT_SHA256 = (1096, "7ce03165eea5fda77cd4d3be30bb656dfc234cee4af8241c53f549c1c0b3ce99")
+HEIGHT_SHA256 = (1096, "1b61f48eaf188a6bb9a19b00864b6fcd2c6e6397c5cb2d9c8c09b4a7c51d6874")
 
 
 def _height_lines(calc, seed, count, max_weight):
