@@ -214,6 +214,17 @@ def _cmd_corpus(args) -> int:
     return EXIT_OK
 
 
+def _natural(text: str) -> int:
+    """An argparse type: a count or height, which must not be negative."""
+    try:
+        n = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if n < 0:
+        raise argparse.ArgumentTypeError(f"{n} is negative")
+    return n
+
+
 def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(
         prog="morgankit",
@@ -234,7 +245,7 @@ def build_parser() -> argparse.ArgumentParser:
     add_calculus(p)
     p.add_argument("sequent", nargs="?")
     p.add_argument("--batch", action="store_true")
-    p.add_argument("--height", type=int, default=None)
+    p.add_argument("--height", type=_natural, default=None)
     # None when not given, so that --batch can reject an explicit one
     p.add_argument("--format", default=None, choices=["ascii", "latex", "json"],
                    help="default: ascii")
@@ -257,7 +268,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--kind", required=True, choices=list(translations.EMBEDDING_KINDS))
     p.add_argument("--input", default=None, help="file of sequents, one per line")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--count", type=int, default=100)
+    p.add_argument("--count", type=_natural, default=100)
     p.add_argument("--max-depth", type=int, default=3)
     p.add_argument("--max-weight", type=int, default=20)
     p.set_defaults(func=_cmd_check_embedding)
@@ -282,7 +293,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("corpus", help="seeded random sequent corpus")
     add_calculus(p)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--count", type=int, default=100)
+    p.add_argument("--count", type=_natural, default=100)
     p.add_argument("--max-depth", type=int, default=3)
     p.add_argument("--max-weight", type=int, default=None)
     p.add_argument("--derivable", action="store_true")

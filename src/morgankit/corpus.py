@@ -92,6 +92,11 @@ def _stream(calculus: str, cfg: CorpusConfig, max_weight: Optional[int]):
     """Endless seeded random sequents, rejection-filtered by weight when asked."""
     rng = random.Random(cfg.seed)
     weigh = sdm_weight if calculus == SDM else dm_weight if calculus == DM else None
+    # every member weighs at least 1, so p, ..., p => p is the lightest goal
+    least = cfg.min_antecedent + 1
+    if weigh is not None and max_weight is not None and max_weight < least:
+        raise ValueError(f"max weight {max_weight} admits no sequent: the "
+                         f"lightest has weight {least}")
     while True:
         s = random_sequent(rng, cfg, calculus)
         if max_weight is None or weigh is None or weigh(s) <= max_weight:

@@ -23,16 +23,19 @@ that no branch repeats a set form, hence pruning preserves completeness, and
 the set-form universe reachable from a goal is finite, hence search
 terminates.  Failures discovered under such pruning may depend on the
 ancestor context; they are memoised only when every prune event referenced
-an ancestor at or below the failing goal.  One exhaustive search serves all
-four calculi; below an SDM/DM root it skips the loop check, the identity
-derivation and the prefilter described next.
+an ancestor at or below the failing goal.  A failed invertible instance
+ends the search of its goal, with one exception: when its failing premiss
+failed through a prune at the goal's own set form and none above it (an
+invertible rule on a duplicated member can lead back to that set form),
+search goes on to the next instance.  One exhaustive search serves all
+four calculi; below an SDM/DM root it skips the loop check, this
+exception, the identity derivation and the prefilter described next.
 
 An INT/CL goal whose succedent A occurs in its antecedent is derivable by
 the generalised identity lemma (Negri & von Plato, *Structural Proof
 Theory*, 2001).  Search builds that derivation directly, by recursion on A,
 from rule instances of the G3ip table, instead of searching for one:
-searching is slow on such goals, and the loop check misses some of them
-when A repeats a subformula.  The height-bounded search below does not
+searching is slow on such goals.  The height-bounded search below does not
 use it, because the identity derivation need not have minimal height.
 
 One bounded search answers every height query in all four calculi: the
@@ -190,16 +193,19 @@ class SearchEngine:
             children = []
             for p in inst.premisses:
                 d = self._derive(p, path, tt)
-                if d is None:
-                    break
-                if d.__class__ is int:
-                    if d < minref:
-                        minref = d
+                if d is None or d.__class__ is int:
                     break
                 children.append(d)
             else:
                 result = _node(inst, tuple(children))
                 break
+            if d is not None:  # a prune above the premiss; INT/CL only
+                if d < minref:
+                    minref = d
+                if d == depth:
+                    # the prunes hit this goal's set form and none above it:
+                    # the commit rests on no ancestor, so try the next instance
+                    continue
             if invertible(inst.label, goal):
                 break
         if path is not None:

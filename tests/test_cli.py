@@ -3,6 +3,8 @@ import os
 import subprocess
 import sys
 
+import pytest
+
 SRC = os.path.join(os.path.dirname(__file__), "..", "src")
 
 
@@ -260,6 +262,38 @@ def test_prove_at_min_height_prints_a_proof(capsys):
     from morgankit.cli import main
     assert main(["prove", "--height", "3", "~p => ~p"]) == 0
     assert capsys.readouterr().out.endswith("~p => ~p   [=>~]\n")
+
+
+def test_negative_height_is_usage_error():
+    r = run_cli("prove", "p => p", "--height", "-1")
+    assert r.returncode == 2
+    assert "--height" in r.stderr and "NOT DERIVABLE" not in r.stdout
+
+
+def test_negative_count_is_usage_error():
+    for command in (["corpus"], ["check-embedding", "--kind", "dm-to-cl-h"]):
+        r = run_cli(*command, "--count", "-1")
+        assert r.returncode == 2, command
+        assert "--count" in r.stderr and "islice" not in r.stderr, command
+
+
+def test_unreachable_max_weight_is_exit_2_not_a_hang():
+    env = dict(os.environ)
+    env["PYTHONPATH"] = SRC + os.pathsep + env.get("PYTHONPATH", "")
+    for args in (["corpus", "--calculus", "g3sdm", "--max-weight", "0", "--count", "1"],
+                 ["check-embedding", "--kind", "dm-to-cl-h", "--max-weight", "0"]):
+        r = subprocess.run([sys.executable, "-m", "morgankit", *args],
+                           capture_output=True, text=True, env=env, timeout=60)
+        assert r.returncode == 2, args
+        assert "max weight 0" in r.stderr and "Traceback" not in r.stderr, args
+    # the bound 1 admits `=> p`, the lightest goal with no antecedent member
+    r = run_cli("corpus", "--calculus", "g3sdm", "--max-weight", "1", "--count", "1")
+    assert r.returncode == 0 and "=>" in r.stdout
+    from morgankit.corpus import CorpusConfig, generate_sequents
+    cfg = CorpusConfig(min_antecedent=2)
+    with pytest.raises(ValueError, match="lightest has weight 3"):
+        generate_sequents("dm", 1, cfg, max_weight=2)
+    assert len(generate_sequents("dm", 1, cfg, max_weight=3)) == 1
 
 
 def test_closed_stdout_is_not_an_input_error():

@@ -538,8 +538,9 @@ def test_prefilter_subgoal_drops_a_variable():
 
 
 # The loop check prunes the |L premiss `q, q, p | q, q -> F => r`: its set
-# form repeats the goal's, and |L is committed as invertible, so search
-# gives up although ->L on `q -> F` closes the goal at height 1.
+# form repeats the goal's.  |L is invertible, but a commit whose premiss
+# fails only at the goal's own set form does not end the search, so ->L on
+# `q -> F` then closes the goal at height 1.
 LOOPCHECK_MISS = "q, p | q, p | q, q -> F => r"
 
 
@@ -551,10 +552,22 @@ def test_loopcheck_miss_goal_is_derivable():
         assert derive(calc, parse_sequent("q, p | q, q -> F => r", calc)) is not None
 
 
-@pytest.mark.xfail(strict=True, reason="loop check prunes a committed invertible premiss")
 @pytest.mark.parametrize("calc", ["int", "cl"])
 def test_loopcheck_miss_duplicate_disjunction(calc):
     assert SearchEngine().derive(calc, parse_sequent(LOOPCHECK_MISS, calc)) is not None
+
+
+@pytest.mark.parametrize("seed", [1, 2])
+@pytest.mark.parametrize("calc", ["int", "cl"])
+def test_derive_finds_every_bounded_derivation(calc, seed):
+    """derive misses no goal of height <= 6, and in CL it decides validity."""
+    eng = SearchEngine()
+    for g in dict.fromkeys(generate_sequents(calc, 2000, CorpusConfig(seed=seed))):
+        d = eng.derivable(calc, g)
+        if calc == "cl":
+            assert d == (not classically_refutable(g)), print_sequent(g)
+        if not d:
+            assert not eng.derivable_within_height(calc, g, 6), print_sequent(g)
 
 
 # --- the generalised identity ----------------------------------------------
