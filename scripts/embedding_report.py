@@ -11,7 +11,9 @@ import time
 
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 
-from morgankit import SearchEngine, check_embedding, h_sequent  # noqa: E402
+from morgankit import (  # noqa: E402
+    CL, DM, EMBEDDING_KINDS, SDM, SearchEngine, check_embedding, h_sequent,
+)
 from morgankit.corpus import CorpusConfig, generate_sequents  # noqa: E402
 
 
@@ -24,27 +26,20 @@ def main():
     args = ap.parse_args()
 
     engine = SearchEngine()
-    dm = generate_sequents(
-        "dm", args.count,
-        CorpusConfig(seed=args.seed, max_depth=3, max_antecedent=4),
-        max_weight=args.max_weight)
-    sdm = generate_sequents(
-        "sdm", args.count,
-        CorpusConfig(seed=args.seed + 1, max_depth=3, max_antecedent=4),
-        max_weight=args.max_weight)
-    cl = [h_sequent(s) for s in dm]
+    corpora = {calc: generate_sequents(
+        calc, args.count,
+        CorpusConfig(seed=args.seed + i, max_depth=3, max_antecedent=4),
+        max_weight=args.max_weight) for i, calc in enumerate((DM, SDM))}
+    corpora[CL] = [h_sequent(s) for s in corpora[DM]]
 
     print(f"seed={args.seed} count={args.count} max_weight={args.max_weight}")
     print(f"{'kind':<18} {'agree':>9} {'rate':>8} {'time':>7}")
-    for kind, corpus in (("dm-to-sdm-f", dm), ("dm-glivenko-sdm", dm),
-                         ("sdm-to-int-k", sdm), ("dm-to-cl-h", dm),
-                         ("cl-to-int-g", cl), ("diagram", dm)):
+    for kind, source in EMBEDDING_KINDS.items():
         t0 = time.perf_counter()
-        rep = check_embedding(kind, corpus, engine=engine)
-        line = (f"{kind:<18} {rep.agreements:>4}/{rep.total:<4} "
-                f"{100 * rep.agreement_rate:>7.2f}% {time.perf_counter() - t0:>6.1f}s")
-        print(line)
-        if kind == "dm-glivenko-sdm":
+        rep = check_embedding(kind, corpora[source], engine=engine)
+        print(f"{kind:<18} {rep.agreements:>4}/{rep.total:<4} "
+              f"{100 * rep.agreement_rate:>7.2f}% {time.perf_counter() - t0:>6.1f}s")
+        if rep.variant_total:
             print(f"{'  (~ variant)':<18} {rep.variant_agreements:>4}/{rep.variant_total:<4} "
                   f"{100 * rep.variant_rate:>7.2f}%   (reported, ungated)")
         for cx in rep.counterexamples[:args.show_counterexamples]:

@@ -1,7 +1,7 @@
 """morgankit: sequent calculi for De Morgan and semi-De Morgan algebras.
 
 Terminating backward proof search for G3SDM/G3DM (and G3ip, G3ip+Gem-at as
-embedding targets), Craig interpolant extraction, the five syntactic
+embedding targets), Craig interpolant extraction, the six syntactic
 translations with an embedding-verification harness, and a finite-algebra
 semantic oracle.
 """

@@ -1,12 +1,14 @@
 """Command-line entry point.
 
 Exit status: 0 success / derivable / valid; 1 not derivable / refuted;
-2 input errors: parse errors (with position diagnostics), usage errors and
-files that cannot be read or written; 3 internal check failures; 141, with
-nothing on stderr, when the reader closes stdout before the output is
-written.
-Batch mode reads one sequent per line from stdin and emits JSON lines; it
-takes no sequent argument, --height or --format (each a usage error).
+2 input errors: parse errors (with position diagnostics), usage errors,
+unreadable or unwritable files, a proof given to render that does not
+replay, and input too deep for Python's recursion limit; 3 internal check
+failures; 141, with nothing on stderr, when the reader closes stdout before
+the output is written.
+Batch mode reads one sequent per line from stdin and emits JSON lines, with
+an "error" for a line that fails; it takes no sequent argument, --height or
+--format (each a usage error).
 translate takes --registry only with --map k.
 """
 
@@ -20,22 +22,22 @@ import sys
 from . import algebras, corpus, interpolation, search, syntax, translations
 from .search import normalize_calculus
 from .syntax import ParseError
-from .terms import CL, DM, SDM, sequent as mk_sequent
+from .terms import DM, SDM, sequent as mk_sequent
 
 EXIT_OK, EXIT_NEGATIVE, EXIT_PARSE, EXIT_INTERNAL = 0, 1, 2, 3
 _EXIT_BROKEN_PIPE = 128 + 13  # as a shell reports death by SIGPIPE
+# for proof JSON nested past the decoder's limit, and for terms within
+# syntax.MAX_NESTING that a deep search or a --height in the thousands meets
+_TOO_DEEP = "nested too deeply: the input exceeds Python's recursion limit"
 
 
 def _cmd_decide(args) -> int:
     calc = normalize_calculus(args.calculus)
     if args.batch:
         return _batch(calc, render_proof=False)
-    goal = syntax.parse_sequent(args.sequent, calc)
-    if search.derivable(calc, goal):
-        print("derivable")
-        return EXIT_OK
-    print("not derivable")
-    return EXIT_NEGATIVE
+    derivable = search.derivable(calc, syntax.parse_sequent(args.sequent, calc))
+    print("derivable" if derivable else "not derivable")
+    return EXIT_OK if derivable else EXIT_NEGATIVE
 
 
 def _cmd_prove(args) -> int:
@@ -69,6 +71,8 @@ def _batch(calc: str, render_proof: bool) -> int:
                 out["proof"] = search.proof_to_obj(d)
         except ParseError as e:
             out["error"] = str(e)
+        except RecursionError:
+            out["error"] = _TOO_DEEP
         print(json.dumps(out, sort_keys=True))
     return EXIT_OK
 
@@ -76,8 +80,7 @@ def _batch(calc: str, render_proof: bool) -> int:
 def _cmd_interpolate(args) -> int:
     calc = normalize_calculus(args.calculus)
     if calc not in (SDM, DM):
-        print("interpolation runs on g3sdm or g3dm goals", file=sys.stderr)
-        return EXIT_PARSE
+        raise ValueError("interpolation runs on g3sdm or g3dm goals")
     left, right, succ = syntax.parse_partition(args.partition, calc)
     goal = mk_sequent(calc, list(left) + list(right), succ)
     d = search.derive(calc, goal)
@@ -105,33 +108,15 @@ def _cmd_interpolate(args) -> int:
 
 
 def _cmd_translate(args) -> int:
-    text = args.input
+    text, source = args.input, translations.TRANSLATIONS[args.map].source
     reg = translations.ClassRegistry()
     if "=>" in text:
-        source = {"t": SDM, "f": DM, "nn": DM, "k": SDM, "h": DM, "g": CL}[args.map]
-        s = syntax.parse_sequent(text, source)
-        image = {
-            "t": translations.t_sequent,
-            "f": translations.f_sequent,
-            "nn": translations.nn_sequent,
-            "k": lambda x: translations.k_sequent(x, reg),
-            "h": translations.h_sequent,
-            "g": translations.g_sequent,
-        }[args.map](s)
-        print(syntax.print_sequent(image))
+        x, show = syntax.parse_sequent(text, source), syntax.print_sequent
     elif args.map == "t":
-        print(syntax.print_term(translations.t_flatten(syntax.parse_structure(text))))
+        x, show = syntax.parse_structure(text), syntax.print_term
     else:
-        lang = syntax.SDM_DM if args.map in ("f", "nn", "k", "h") else syntax.INT_CL
-        t = syntax.parse_term(text, lang)
-        out = {
-            "f": translations.f_godel_gentzen,
-            "nn": translations.double_negate,
-            "k": lambda x: translations.k_to_int(x, reg),
-            "h": translations.h_to_cl,
-            "g": translations.g_glivenko,
-        }[args.map](t)
-        print(syntax.print_term(out))
+        x, show = syntax.parse_term(text, syntax.language_of(source)), syntax.print_term
+    print(show(translations.translate(args.map, x, reg)))
     if args.registry:
         with open(args.registry, "w") as fh:
             json.dump(reg.as_obj(), fh, indent=2, sort_keys=True)
@@ -154,7 +139,7 @@ def _cmd_check_embedding(args) -> int:
     print(f"sequents: {report.total}")
     print(f"agreement: {report.agreements}/{report.total} "
           f"({100 * report.agreement_rate:.2f}%)")
-    if kind == "dm-glivenko-sdm":
+    if report.variant_total:
         print(f"single-negation succedent variant agreement: "
               f"{report.variant_agreements}/{report.variant_total} "
               f"({100 * report.variant_rate:.2f}%)")
@@ -193,12 +178,12 @@ def _cmd_render(args) -> int:
     else:
         with open(args.input) as fh:
             data = fh.read()
+    d = search.proof_from_obj(json.loads(data))
     try:
-        obj = json.loads(data)
-    except RecursionError:
-        raise ValueError("proof JSON nested too deeply") from None
-    d = search.proof_from_obj(obj)
-    print(search.render(d, args.format))
+        print(search.render(d, args.format))
+    except search.InvalidDerivationError as e:
+        # the proof came from the user, so a failed replay is an input error
+        raise ValueError(f"the proof does not replay: {e}") from None
     return EXIT_OK
 
 
@@ -235,6 +220,12 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--calculus", default="g3sdm",
                        choices=["g3sdm", "g3dm", "g3ip", "g3cp"])
 
+    def add_corpus(p, max_weight):
+        p.add_argument("--seed", type=int, default=0)
+        p.add_argument("--count", type=_natural, default=100)
+        p.add_argument("--max-depth", type=int, default=3)
+        p.add_argument("--max-weight", type=int, default=max_weight)
+
     p = sub.add_parser("decide", help="exit 0 iff the sequent is derivable")
     add_calculus(p)
     p.add_argument("sequent", nargs="?")
@@ -258,7 +249,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_interpolate)
 
     p = sub.add_parser("translate", help="apply one of the translations")
-    p.add_argument("--map", required=True, choices=["t", "f", "nn", "k", "h", "g"])
+    p.add_argument("--map", required=True, choices=list(translations.TRANSLATIONS))
     p.add_argument("input")
     p.add_argument("--registry", default=None,
                    help="sidecar JSON path for k's class-variable registry")
@@ -267,10 +258,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("check-embedding", help="embedding agreement report")
     p.add_argument("--kind", required=True, choices=list(translations.EMBEDDING_KINDS))
     p.add_argument("--input", default=None, help="file of sequents, one per line")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--count", type=_natural, default=100)
-    p.add_argument("--max-depth", type=int, default=3)
-    p.add_argument("--max-weight", type=int, default=20)
+    add_corpus(p, max_weight=20)
     p.set_defaults(func=_cmd_check_embedding)
 
     p = sub.add_parser("validity", help="semantic check over enumerated algebras")
@@ -292,10 +280,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("corpus", help="seeded random sequent corpus")
     add_calculus(p)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--count", type=_natural, default=100)
-    p.add_argument("--max-depth", type=int, default=3)
-    p.add_argument("--max-weight", type=int, default=None)
+    add_corpus(p, max_weight=None)
     p.add_argument("--derivable", action="store_true")
     p.set_defaults(func=_cmd_corpus)
 
@@ -332,6 +317,9 @@ def main(argv=None) -> int:
         return EXIT_INTERNAL
     except (ValueError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
+        return EXIT_PARSE
+    except RecursionError:
+        print(f"error: {_TOO_DEEP}", file=sys.stderr)
         return EXIT_PARSE
 
 

@@ -88,14 +88,17 @@ def random_sequent(rng: random.Random, cfg: CorpusConfig, calculus: str) -> Sequ
     return sequent(calculus, ants, succ)
 
 
-def _stream(calculus: str, cfg: CorpusConfig, max_weight: Optional[int]):
+def _stream(calculus: str, cfg: CorpusConfig, max_weight: Optional[int],
+            derivable: bool = False):
     """Endless seeded random sequents, rejection-filtered by weight when asked."""
     rng = random.Random(cfg.seed)
     weigh = sdm_weight if calculus == SDM else dm_weight if calculus == DM else None
-    # every member weighs at least 1, so p, ..., p => p is the lightest goal
-    least = cfg.min_antecedent + 1
+    # every member weighs at least 1, so p, ..., p => p is the lightest goal;
+    # p => p, => *F and => ~F, of weight 2, are the lightest derivable ones
+    least = max(cfg.min_antecedent + 1, 2 if derivable else 1)
     if weigh is not None and max_weight is not None and max_weight < least:
-        raise ValueError(f"max weight {max_weight} admits no sequent: the "
+        kind = "derivable sequent" if derivable else "sequent"
+        raise ValueError(f"max weight {max_weight} admits no {kind}: the "
                          f"lightest has weight {least}")
     while True:
         s = random_sequent(rng, cfg, calculus)
@@ -116,6 +119,6 @@ def derivable_corpus(calculus: str, count: int, cfg: CorpusConfig,
     from .search import default_engine
     eng = engine or default_engine()
     skip_star = term_succedent and calculus == SDM
-    return list(islice((s for s in _stream(calculus, cfg, max_weight)
+    return list(islice((s for s in _stream(calculus, cfg, max_weight, True)
                         if not (skip_star and s.succedent.star)
                         and eng.derivable(calculus, s)), count))

@@ -77,8 +77,8 @@ def _tokens(text: str) -> list:
 
 
 #: How deep a term may nest: at most this many connectives on any path from
-#: the root.  It keeps every recursive pass over a term (printing, sort keys,
-#: weights, search, replay) well inside Python's recursion limit.
+#: the root, so one pass over a term stays inside Python's recursion limit.
+#: Search and replay also recurse once per rule, and can still exceed it.
 MAX_NESTING = 256
 
 _PREC_IMP, _PREC_OR, _PREC_AND, _PREC_UNARY = 0, 1, 2, 3
@@ -234,10 +234,11 @@ class _Parser:
             raise self.error(f"trailing input {tok!r}", self.i)
 
 
-def _parser(text: str, calculus: str) -> _Parser:
+def language_of(calculus: str) -> str:
+    """The term language of a calculus: "sdm-dm" or "int-cl"."""
     if calculus not in CALCULI:
         raise ValueError(f"unknown calculus {calculus!r}")
-    return _Parser(text, SDM_DM if calculus in (SDM, DM) else INT_CL)
+    return SDM_DM if calculus in (SDM, DM) else INT_CL
 
 
 def parse_term(text: str, language: str = SDM_DM) -> Term:
@@ -259,7 +260,7 @@ def parse_structure(text: str) -> Struct:
 def parse_sequent(text: str, calculus: str) -> Sequent:
     """Parse "G => b"; the grammar keeps the result in the calculus's
     language, so the sequent is built without a second walk."""
-    p = _parser(text, calculus)
+    p = _Parser(text, language_of(calculus))
     sdm = calculus == SDM
     ants = p.items(sdm, "=>")
     p.expect("=>")
@@ -270,7 +271,7 @@ def parse_sequent(text: str, calculus: str) -> Sequent:
 
 def parse_partition(text: str, calculus: str):
     """Parse "G1 ; G2 => b" into (left members, right members, succedent)."""
-    p = _parser(text, calculus)
+    p = _Parser(text, language_of(calculus))
     sdm = calculus == SDM
     left = p.items(sdm, ";")
     p.expect(";")

@@ -1,26 +1,15 @@
-"""The five syntactic translations and the embedding-verification harness.
+"""The six syntactic translations and the embedding-verification harness.
 
-* ``t_flatten``     -- structure flattening: *phi reads as ~phi, multisets
-                       fold with & (empty antecedent gives T); defined in
-                       ``terms`` and re-exported here.
-* ``f_godel_gentzen`` -- double-negates atoms and disjunctions; a DM
-                       antecedent folds into a single conjunction.
-* ``double_negate`` -- prefixes ~~ memberwise.
-* ``k_to_int``      -- into the intuitionistic language; negated conjunctions
-                       and doubly-negated disjunctions that do not reduce
-                       syntactically are named by fresh class variables, one
-                       per G3SDM-interderivability class (ClassRegistry).
-* ``h_to_cl``       -- into the classical language, pushing negation to
-                       atoms (primed variables stand for negated atoms).
-* ``g_glivenko``    -- prefixes (x -> F) -> F memberwise.
-
-``check_embedding`` runs a corpus through a source calculus and the image
-through the target calculus and reports agreement, listing counterexamples
-verbatim.
+``TRANSLATIONS`` names each map with the calculus it reads and its term and
+sequent images; ``translate`` applies one by name.  Each embedding kind
+compares the images of a source sequent under two chains of those names, and
+``check_embedding`` runs a corpus through both and reports agreement,
+listing counterexamples verbatim.
 """
 
 from __future__ import annotations
 
+from collections import namedtuple
 from typing import Optional
 
 from .algebras import _assignments, enumerate_algebras, evaluate
@@ -62,9 +51,9 @@ def f_godel_gentzen(x):
     return fold(And, [f_godel_gentzen(m) for m in _members(x)], TOP_ALG)
 
 
-def f_sequent(s: Sequent, target: str = SDM) -> Sequent:
+def f_sequent(s: Sequent) -> Sequent:
     """Image of a DM sequent: the folded antecedent implies the translated goal."""
-    return sequent(target, [f_godel_gentzen(s.antecedent)], f_godel_gentzen(s.succedent))
+    return sequent(SDM, [f_godel_gentzen(s.antecedent)], f_godel_gentzen(s.succedent))
 
 
 def double_negate(x):
@@ -74,9 +63,13 @@ def double_negate(x):
     return tuple(Neg(Neg(m)) for m in _members(x))
 
 
-def nn_sequent(s: Sequent) -> Sequent:
-    """Image of a DM sequent in G3SDM: ~~ prefixed to every member."""
-    return sequent(SDM, double_negate(s.antecedent), double_negate(s.succedent))
+def _memberwise(target: str, image):
+    """The sequent map that applies a term map to every member."""
+    return lambda s: sequent(target, [image(m) for m in s.antecedent], image(s.succedent))
+
+
+#: Image of a DM sequent in G3SDM: ~~ prefixed to every member.
+nn_sequent = _memberwise(SDM, double_negate)
 
 
 class ClassRegistry:
@@ -153,7 +146,8 @@ class ClassRegistry:
 
 
 def k_to_int(phi: Term, reg: ClassRegistry) -> Term:
-    """Translate a base-language SDM term into the intuitionistic language."""
+    """SDM term into the intuitionistic language; irreducible ~(a & b) and
+    ~~(a | b) become class variables, one per G3SDM-interderivability class."""
     if not is_alg_term(phi):
         raise ValueError("k is defined on the algebraic language")
     return _k(phi, reg, None)
@@ -204,18 +198,13 @@ def _k(phi: Term, reg: ClassRegistry, bound) -> Term:
     return _k(Neg(y.arg), reg, m)
 
 
-def k_member(m, reg: ClassRegistry) -> Term:
-    return _k(t_flatten(m), reg, None)
-
-
 def k_sequent(s: Sequent, reg: ClassRegistry) -> Sequent:
-    """Memberwise image of an SDM sequent; a starred succedent reads as ~."""
-    ants = [k_member(m, reg) for m in s.antecedent]
-    return sequent(INT, ants, k_member(s.succedent, reg))
+    """Memberwise image of an SDM sequent; a starred member reads as ~."""
+    return _memberwise(INT, lambda m: _k(t_flatten(m), reg, None))(s)
 
 
 def h_to_cl(phi: Term) -> Term:
-    """Translate a DM term into the classical language (negation to atoms)."""
+    """DM term into the classical language; negation goes to atoms, p' for ~p."""
     ty = type(phi)
     if ty is Var:
         return phi
@@ -238,8 +227,7 @@ def h_to_cl(phi: Term) -> Term:
     return h_to_cl(x.arg)
 
 
-def h_sequent(s: Sequent) -> Sequent:
-    return sequent(CL, [h_to_cl(m) for m in s.antecedent], h_to_cl(s.succedent))
+h_sequent = _memberwise(CL, h_to_cl)
 
 
 def g_glivenko(x):
@@ -249,15 +237,49 @@ def g_glivenko(x):
     return tuple(Imp(Imp(m, BOT), BOT) for m in _members(x))
 
 
-def g_sequent(s: Sequent) -> Sequent:
-    return sequent(INT, g_glivenko(s.antecedent), g_glivenko(s.succedent))
+g_sequent = _memberwise(INT, g_glivenko)
 
+
+# A map: the calculus whose sequents it reads, the image of a term (of a
+# structure, for t) and the image of a sequent.
+Translation = namedtuple("Translation", "source term sequent")
+
+#: Every translation by name, in the order the CLI offers them.
+TRANSLATIONS = {
+    "t": Translation(SDM, t_flatten, t_sequent),
+    "f": Translation(DM, f_godel_gentzen, f_sequent),
+    "nn": Translation(DM, double_negate, nn_sequent),
+    "k": Translation(SDM, k_to_int, k_sequent),
+    "h": Translation(DM, h_to_cl, h_sequent),
+    "g": Translation(CL, g_glivenko, g_sequent),
+}
+
+
+def translate(name: str, x, registry: Optional[ClassRegistry] = None):
+    """The image of a term (a structure, for t) or a sequent under one map.
+
+    Only k reads the registry: it names its class atoms there.
+    """
+    _, on_term, on_sequent = TRANSLATIONS[name]
+    image = on_sequent if isinstance(x, Sequent) else on_term
+    return image(x, registry) if name == "k" else image(x)
+
+
+# Each embedding kind as two chains of maps, applied left to right to a
+# source sequent: the goals whose verdicts it compares.  The kind's source
+# calculus is the one its first map reads.
+_EMBEDDINGS = {
+    "dm-to-sdm-f": ((), ("f",)),
+    "dm-glivenko-sdm": ((), ("nn",)),
+    "sdm-to-int-k": ((), ("k",)),
+    "dm-to-cl-h": ((), ("h",)),
+    "cl-to-int-g": ((), ("g",)),
+    "diagram": (("h", "g"), ("f", "k")),
+}
 
 #: Each embedding kind with the calculus its source sequents come from.
-EMBEDDING_KINDS = {
-    "dm-to-sdm-f": DM, "dm-glivenko-sdm": DM, "sdm-to-int-k": SDM,
-    "dm-to-cl-h": DM, "cl-to-int-g": CL, "diagram": DM,
-}
+EMBEDDING_KINDS = {kind: TRANSLATIONS[(chains[0] + chains[1])[0]].source
+                   for kind, chains in _EMBEDDINGS.items()}
 
 
 class EmbeddingReport:
@@ -303,8 +325,7 @@ class EmbeddingReport:
         if source == target:
             self.agreements += 1
         else:
-            self.counterexamples.append(
-                (print_sequent(s), source, target))
+            self.counterexamples.append((print_sequent(s), source, target))
 
 
 def check_embedding(kind: str, corpus, engine: Optional[SearchEngine] = None,
@@ -314,33 +335,24 @@ def check_embedding(kind: str, corpus, engine: Optional[SearchEngine] = None,
         raise ValueError(f"unknown embedding kind {kind!r}")
     eng = engine or default_engine()
     report = EmbeddingReport(kind)
-    if kind in ("sdm-to-int-k", "diagram") and registry is None:
+    if registry is None:
         registry = ClassRegistry(eng)    # one registry per invocation
     source = EMBEDDING_KINDS[kind]
     for s in corpus:
         if s.calculus != source:
             raise ValueError(f"corpus sequent tagged {s.calculus}, expected {source}")
-        if kind == "dm-to-sdm-f":
-            src = eng.derivable(DM, s)
-            tgt = eng.derivable(SDM, f_sequent(s))
-        elif kind == "dm-glivenko-sdm":
-            src = eng.derivable(DM, s)
-            tgt = eng.derivable(SDM, nn_sequent(s))
+        # each verdict is reached before the next goal is built, so the
+        # engine memo and the registry numbering fill in a fixed order
+        verdicts = []
+        for chain in _EMBEDDINGS[kind]:
+            goal = s
+            for name in chain:
+                goal = translate(name, goal, registry)
+            verdicts.append(eng.derivable(goal.calculus, goal))
+        if kind == "dm-glivenko-sdm":
             printed = sequent(SDM, double_negate(s.antecedent), Neg(s.succedent))
             report.variant_total += 1
-            if src == eng.derivable(SDM, printed):
+            if verdicts[0] == eng.derivable(SDM, printed):
                 report.variant_agreements += 1
-        elif kind == "sdm-to-int-k":
-            src = eng.derivable(SDM, s)
-            tgt = eng.derivable(INT, k_sequent(s, registry))
-        elif kind == "dm-to-cl-h":
-            src = eng.derivable(DM, s)
-            tgt = eng.derivable(CL, h_sequent(s))
-        elif kind == "cl-to-int-g":
-            src = eng.derivable(CL, s)
-            tgt = eng.derivable(INT, g_sequent(s))
-        else:  # diagram
-            src = eng.derivable(INT, g_sequent(h_sequent(s)))
-            tgt = eng.derivable(INT, k_sequent(f_sequent(s), registry))
-        report.record(s, src, tgt)
+        report.record(s, *verdicts)
     return report

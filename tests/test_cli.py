@@ -140,6 +140,44 @@ def test_registry_needs_map_k(tmp_path):
     assert not reg.exists()
 
 
+# map: (calculus it reads, a term -- a structure for t -- and a sequent)
+_TRANSLATE_INPUTS = {
+    "t": ("sdm", "*(p & ~q)", "*p, q => *~p"),
+    "f": ("dm", "p | ~(q & F)", "p, ~q => p | q"),
+    "nn": ("dm", "~p & q", "p, ~q => p | q"),
+    "k": ("sdm", "~(p & q) | ~~(p | q)", "*~(p & q), q => *~~(p | r)"),
+    "h": ("dm", "~(p & ~q)", "~~p, ~(p | q) => ~p & q"),
+    "g": ("cl", "p -> q | F", "p -> q, p => q"),
+}
+
+
+@pytest.mark.parametrize("mapping", sorted(_TRANSLATE_INPUTS))
+def test_translate_matches_the_library(mapping):
+    import morgankit as m
+    from morgankit.syntax import INT_CL, SDM_DM
+    from morgankit.translations import nn_sequent
+    images = {  # map: (term image, sequent image)
+        "t": (m.t_flatten, m.t_sequent),
+        "f": (m.f_godel_gentzen, m.f_sequent),
+        "nn": (m.double_negate, nn_sequent),
+        "k": (lambda x: m.k_to_int(x, m.ClassRegistry()),
+              lambda x: m.k_sequent(x, m.ClassRegistry())),
+        "h": (m.h_to_cl, m.h_sequent),
+        "g": (m.g_glivenko, m.g_sequent),
+    }
+    calc, term_text, sequent_text = _TRANSLATE_INPUTS[mapping]
+    on_term, on_sequent = images[mapping]
+    if mapping == "t":
+        term = m.parse_structure(term_text)
+    else:
+        term = m.parse_term(term_text, INT_CL if calc == "cl" else SDM_DM)
+    r = run_cli("translate", "--map", mapping, term_text)
+    assert (r.returncode, r.stdout) == (0, m.print_term(on_term(term)) + "\n")
+    s = m.parse_sequent(sequent_text, calc)
+    r = run_cli("translate", "--map", mapping, sequent_text)
+    assert (r.returncode, r.stdout) == (0, m.print_sequent(on_sequent(s)) + "\n")
+
+
 def test_translate_sequents():
     r = run_cli("translate", "--map", "t", "*p, q => *~p")
     assert r.stdout.strip() == "q & ~p => ~~p"
@@ -153,6 +191,8 @@ def test_interpolate_command():
     assert "interpolant: p" in r.stdout
     r = run_cli("interpolate", "--calculus", "g3sdm", "q ; p => p")
     assert "interpolant: *F" in r.stdout
+    r = run_cli("interpolate", "--calculus", "g3ip", "p ; q => p")
+    assert r.returncode == 2 and "runs on g3sdm or g3dm" in r.stderr
 
 
 def test_validity_command():
@@ -220,6 +260,51 @@ def test_term_at_the_nesting_limit_decides():
     assert run_cli("render", stdin=r.stdout).returncode == 0
 
 
+def test_search_past_the_recursion_limit_is_exit_2():
+    from morgankit.syntax import MAX_NESTING
+    # each member is within MAX_NESTING, but search recurses once per rule
+    # while it compares sort keys MAX_NESTING deep
+    deep = ", ".join("~" * MAX_NESTING + v for v in "pqrstuvw") + " => p"
+    env = dict(os.environ)
+    env["PYTHONPATH"] = SRC + os.pathsep + env.get("PYTHONPATH", "")
+
+    def start(*args):
+        return subprocess.Popen([sys.executable, "-m", "morgankit", *args],
+                                stdin=subprocess.PIPE, stdout=subprocess.PIPE,
+                                stderr=subprocess.PIPE, text=True, env=env)
+
+    decide = start("decide", "--calculus", "g3sdm", deep)
+    batch = start("decide", "--calculus", "g3sdm", "--batch")
+    out, err = decide.communicate(timeout=300)
+    assert decide.returncode == 2 and out == ""
+    assert "recursion limit" in err and "Traceback" not in err
+    # the batch reports the line and goes on to the next
+    out, err = batch.communicate(f"p => p\n{deep}\nq => p\n", timeout=300)
+    assert batch.returncode == 0 and err == ""
+    lines = [json.loads(line) for line in out.splitlines()]
+    assert [line.get("derivable") for line in lines] == [True, None, False]
+    assert "recursion limit" in lines[1]["error"]
+
+
+def test_height_past_the_recursion_limit_is_exit_2():
+    r = run_cli("prove", "--calculus", "g3cp", "--height", "3000", "(p -> F) -> F => p")
+    assert r.returncode == 2 and r.stdout == ""
+    assert "recursion limit" in r.stderr and "Traceback" not in r.stderr
+
+
+def test_render_proof_that_does_not_replay_is_exit_2():
+    # a user's proof that fails replay is an input error; prove keeps exit 3
+    # for its own derivations (test_prove_bad_derivation_is_exit_3)
+    r = run_cli("prove", "--calculus", "g3ip", "p & q => q & p", "--format", "json")
+    obj = json.loads(r.stdout)
+    assert obj["derivation"]["premisses"][0]["rule"] == "&R"
+    obj["derivation"]["premisses"][0]["rule"] = "|R1"
+    r = run_cli("render", stdin=json.dumps(obj))
+    assert r.returncode == 2 and r.stdout == ""
+    assert "does not replay: root.0: no |R1 instance" in r.stderr
+    assert "Traceback" not in r.stderr
+
+
 def test_decide_without_sequent_is_usage_error():
     r = run_cli("decide", "--calculus", "g3sdm")
     assert r.returncode == 2
@@ -280,12 +365,18 @@ def test_negative_count_is_usage_error():
 def test_unreachable_max_weight_is_exit_2_not_a_hang():
     env = dict(os.environ)
     env["PYTHONPATH"] = SRC + os.pathsep + env.get("PYTHONPATH", "")
-    for args in (["corpus", "--calculus", "g3sdm", "--max-weight", "0", "--count", "1"],
-                 ["check-embedding", "--kind", "dm-to-cl-h", "--max-weight", "0"]):
+    for weight, args in (
+            (0, ["corpus", "--calculus", "g3sdm", "--max-weight", "0", "--count", "1"]),
+            (0, ["check-embedding", "--kind", "dm-to-cl-h", "--max-weight", "0"]),
+            # p => p, => *F and => ~F weigh 2: the lightest derivable goals
+            (1, ["corpus", "--calculus", "g3sdm", "--max-weight", "1", "--count", "1",
+                 "--derivable"]),
+            (1, ["corpus", "--calculus", "g3dm", "--max-weight", "1", "--count", "1",
+                 "--derivable"])):
         r = subprocess.run([sys.executable, "-m", "morgankit", *args],
                            capture_output=True, text=True, env=env, timeout=60)
         assert r.returncode == 2, args
-        assert "max weight 0" in r.stderr and "Traceback" not in r.stderr, args
+        assert f"max weight {weight}" in r.stderr and "Traceback" not in r.stderr, args
     # the bound 1 admits `=> p`, the lightest goal with no antecedent member
     r = run_cli("corpus", "--calculus", "g3sdm", "--max-weight", "1", "--count", "1")
     assert r.returncode == 0 and "=>" in r.stdout
