@@ -6,12 +6,13 @@ terms homomorphically, decides sequent validity over all assignments,
 enumerates all algebras of a variety up to isomorphism at small sizes, and
 searches them for counter-witnesses to a sequent.
 
-Enumeration works directly on carriers {0, ..., n-1} with 0 as bottom and
-n-1 as top: every partial order on the middle elements is tried, and each
-order that is a lattice has the lattice laws checked once; only negation
-tables that pass the negation identities on it become algebras.
-Deduplication canonicalises over all carrier permutations fixing bottom and
-top.  Sizes are capped at 6; that is desk scale and refutes every
+Enumeration works on carriers {0, ..., n-1} with 0 as bottom and n-1 as
+top.  The lattices come from Birkhoff's representation: every finite
+distributive lattice is the lattice of down-sets of a finite poset, so
+growing posets yields each lattice once, with no lattice laws to check.
+Each negation table on a lattice is tried once, and kept if it passes the
+negation identities and is the least of its orbit under the lattice's
+automorphisms.  Sizes are capped at 7; that is desk scale and refutes every
 non-theorem in the test corpora, although no claim is made that small
 algebras refute every SDM non-theorem, so proof search remains the decision
 authority.
@@ -242,77 +243,74 @@ def valid(s: Sequent, alg: FiniteAlgebra) -> bool:
     return _counterexample(lhs, rhs, _names(s), alg) is None
 
 
-def _middle_orders(n: int):
-    """All partial orders on {0..n-1} with 0 bottom and n-1 top."""
-    mids = list(range(1, n - 1))
-    pairs = [(a, b) for a in mids for b in mids if a != b]
-    for bits in itertools.product((False, True), repeat=len(pairs)):
-        rel = {pair for pair, bit in zip(pairs, bits) if bit}
-        if any((b, a) in rel for a, b in rel):
-            continue  # antisymmetry
-        if any(c != a and (a, c) not in rel
-               for a, b in rel for b2, c in rel if b2 == b):
-            continue  # transitivity
-        leq = [[False] * n for _ in range(n)]
-        for a in range(n):
-            leq[a][a] = True
-            leq[0][a] = True
-            leq[a][n - 1] = True
-        for a, b in rel:
-            leq[a][b] = True
-        yield leq
+def _distributive_lattices(max_size: int):
+    """Each distributive lattice of 2..max_size elements once, with its automorphisms.
 
-
-def _canonical_key(alg: FiniteAlgebra) -> tuple:
-    """Minimal serialisation over all permutations fixing bottom and top."""
-    n = alg.size
-    mids = list(range(1, n - 1))
-    best = None
-    for perm in itertools.permutations(mids):
-        relabel = {0: 0, n - 1: n - 1}
-        relabel.update({old: new for old, new in zip(mids, perm)})
-        order = tuple(sorted(
-            (relabel[a], relabel[b])
-            for a in range(n) for b in range(n) if alg.leq(a, b)))
-        neg = tuple(v for _, v in sorted(
-            (relabel[a], relabel[alg.neg[a]]) for a in range(n)))
-        key = (order, neg)
-        if best is None or key < best:
-            best = key
-    return best
+    Yields (join, meet, automorphisms) on {0..n-1}, 0 bottom and n-1 top, by
+    size and then by the least tuple of order bits (a <= b for middle a != b,
+    row by row) over relabellings of the middle elements, in the labelling
+    that gives it: the first one a search over all middle orders would meet.
+    By Birkhoff, such a lattice is the down-set lattice of a finite poset.
+    Posets grow one maximal point at a time, keeping only their down-sets as
+    bitmasks: a point placed above down-set d adds e | point for each
+    down-set e containing d.
+    """
+    # from the one-point poset, whose down-sets are {} and {point 0}
+    families, level, point = set(), {frozenset((0, 1))}, 2
+    while level:
+        families |= level
+        level = {grown for downs in level for d in downs
+                 if len(grown := downs | {e | point for e in downs if e & d == d})
+                 <= max_size}
+        point <<= 1
+    lattices = {}
+    for downs in families:
+        bottom, top = min(downs), max(downs)
+        best, labellings = None, []
+        for perm in itertools.permutations(sorted(downs - {bottom, top})):
+            bits = tuple(a & b == a for a in perm for b in perm if a != b)
+            if best is None or bits < best:
+                best, labellings = bits, []
+            if bits == best:
+                labellings.append((bottom, *perm, top))
+        lattices.setdefault((len(downs), best), labellings)
+    for _, labellings in sorted(lattices.items()):
+        first = labellings[0]
+        index = {a: i for i, a in enumerate(first)}
+        yield (tuple(tuple(index[a | b] for b in first) for a in first),
+               tuple(tuple(index[a & b] for b in first) for a in first),
+               [tuple(index[a] for a in lab) for lab in labellings])
 
 
 _ENUM_CACHE: dict = {}
 
 
 def enumerate_algebras(variety: str, max_size: int) -> list:
-    """All algebras of the variety with 2..max_size elements, up to isomorphism."""
+    """All algebras of the variety with 2..max_size elements, up to isomorphism.
+
+    A negation table is kept if no automorphism of its lattice conjugates it
+    to a lexicographically smaller one.
+    """
     if variety not in (SDM, DM):
         raise ValueError(f"unknown variety {variety!r}")
     if max_size < 2:
         raise ValueError("max_size must be at least 2")
-    if max_size > 6:
-        raise ValueError("enumeration is capped at size 6")
+    if max_size > 7:
+        raise ValueError("enumeration is capped at size 7")
     key = (variety, max_size)
     hit = _ENUM_CACHE.get(key)
     if hit is not None:
         return hit
     out = []
-    seen = set()
-    for n in range(2, max_size + 1):
-        for leq in _middle_orders(n):
-            join, meet = _tables_from_leq(n, leq)
-            if join is None or not _lattice_laws(join, meet, 0, n - 1):
-                continue
-            for middle in itertools.product(range(n), repeat=n - 2):
-                neg = (n - 1,) + middle + (0,)
-                if not _negation_laws(join, meet, neg, 0, n - 1, variety):
-                    continue
-                alg = FiniteAlgebra(n, join, meet, neg)
-                ck = (n, _canonical_key(alg))
-                if ck not in seen:
-                    seen.add(ck)
-                    out.append(alg)
+    for join, meet, autos in _distributive_lattices(max_size):
+        n = len(join)
+        conjugators = [(s, sorted(range(n), key=s.__getitem__)) for s in autos]
+        for middle in itertools.product(range(n), repeat=n - 2):
+            neg = (n - 1,) + middle + (0,)
+            if (_negation_laws(join, meet, neg, 0, n - 1, variety)
+                    and all(tuple(s[neg[a]] for a in inverse) >= neg
+                            for s, inverse in conjugators)):
+                out.append(FiniteAlgebra(n, join, meet, neg))
     _ENUM_CACHE[key] = out
     return out
 

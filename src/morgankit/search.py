@@ -65,6 +65,7 @@ are atomic under the GIL); per-goal search is single-threaded.
 from __future__ import annotations
 
 import os
+import re
 from typing import NamedTuple, Optional
 
 from .calculi import (
@@ -427,17 +428,21 @@ def min_height(calculus: str, goal: Sequent, engine: Optional[SearchEngine] = No
 # -- derivation checking -------------------------------------------------
 
 def check_derivation_report(calculus: str, d: Derivation):
-    """(ok, diagnostic); the diagnostic names the path to the first bad node."""
+    """(ok, diagnostic); the diagnostic names the first bad node by its JSON
+    path, as ``proof_from_obj`` does."""
     calculus = normalize_calculus(calculus)
     if calculus != d.sequent.calculus:
-        return False, f"root: sequent tagged {d.sequent.calculus}, expected {calculus}"
-    bad = _first_bad(d, "root", set())
-    return (bad is None), (bad or "ok")
+        return False, (f"derivation: sequent tagged {d.sequent.calculus}, "
+                       f"expected {calculus}")
+    bad = _first_bad(d, set())
+    return (bad is None), ("derivation" + bad if bad else "ok")
 
 
-def _first_bad(node: Derivation, path: str, checked: set) -> Optional[str]:
-    """The diagnostic of the first node below ``node`` that fails replay.
+def _first_bad(node: Derivation, checked: set) -> Optional[str]:
+    """The diagnostic of the first node below ``node`` that fails replay,
+    starting with that node's path relative to ``node``.
 
+    The path is built only on the way back up from a failing node.
     ``checked`` holds the ids of nodes already replayed, so a subtree shared
     by several parents is replayed once.
     """
@@ -445,19 +450,19 @@ def _first_bad(node: Derivation, path: str, checked: set) -> Optional[str]:
         return None
     expected_h = 1 + max((c.height for c in node.children), default=-1)
     if node.height != expected_h:
-        return f"{path}: height {node.height}, expected {expected_h}"
+        return f": height {node.height}, expected {expected_h}"
     want = tuple(c.sequent for c in node.children)
     for inst in iter_instances(node.sequent):
         if (inst.label == node.rule and inst.principal == node.principal
                 and inst.premisses == want):
             break
     else:
-        return (f"{path}: no {node.rule} instance with principal "
+        return (f": no {node.rule} instance with principal "
                 f"{node.principal} matches the recorded premisses")
     for i, c in enumerate(node.children):
-        bad = _first_bad(c, f"{path}.{i}", checked)
+        bad = _first_bad(c, checked)
         if bad:
-            return bad
+            return f".premisses[{i}]{bad}"
     checked.add(id(node))
     return None
 
@@ -469,30 +474,23 @@ def check_derivation(calculus: str, d: Derivation) -> bool:
 
 # -- rendering ------------------------------------------------------------
 
-_LATEX_LABELS = {
-    "Id": r"(\mathrm{Id})", "Id1": r"(\mathrm{Id}_1)", "Id2": r"(\mathrm{Id}_2)",
-    "Bot=>": r"(\bot\Rightarrow)", "=>*Bot": r"(\Rightarrow{\ast}\bot)",
-    "*~Bot=>": r"({\ast}\lnot\bot\Rightarrow)", "=>~Bot": r"(\Rightarrow\lnot\bot)",
-    "&=>": r"(\wedge\Rightarrow)", "=>&": r"(\Rightarrow\wedge)",
-    "|=>": r"(\vee\Rightarrow)",
-    "=>|1": r"(\Rightarrow\vee_1)", "=>|2": r"(\Rightarrow\vee_2)",
-    "*|=>": r"({\ast}\vee\Rightarrow)", "=>*|": r"(\Rightarrow{\ast}\vee)",
-    "*~&=>": r"({\ast}\lnot\wedge\Rightarrow)", "=>*~&": r"(\Rightarrow{\ast}\lnot\wedge)",
-    "*~~=>": r"({\ast}\lnot\lnot\Rightarrow)", "=>*~~": r"(\Rightarrow{\ast}\lnot\lnot)",
-    "~=>": r"(\lnot\Rightarrow)", "=>~": r"(\Rightarrow\lnot)",
-    "*": r"({\ast})", "*0": r"({\ast}_0)", "*1": r"({\ast}_1)",
-    "*n": r"({\ast}_n)",
-    "~&=>": r"(\lnot\wedge\Rightarrow)",
-    "=>~&1": r"(\Rightarrow\lnot\wedge_1)", "=>~&2": r"(\Rightarrow\lnot\wedge_2)",
-    "~|=>": r"(\lnot\vee\Rightarrow)", "=>~|": r"(\Rightarrow\lnot\vee)",
-    "~~=>": r"(\lnot\lnot\Rightarrow)", "=>~~": r"(\Rightarrow\lnot\lnot)",
-    "BotL": r"(\bot\mathrm{L})",
-    "&L": r"(\wedge\mathrm{L})", "&R": r"(\wedge\mathrm{R})",
-    "|L": r"(\vee\mathrm{L})",
-    "|R1": r"(\vee\mathrm{R}_1)", "|R2": r"(\vee\mathrm{R}_2)",
-    "->L": r"({\supset}\mathrm{L})", "->R": r"({\supset}\mathrm{R})",
-    "Gem-at": r"(\mathrm{Gem}\text{-}\mathrm{at})",
+_LATEX_LABEL_PARTS = {
+    "=>": r"\Rightarrow", "->": r"{\supset}", "*": r"{\ast}", "~": r"\lnot",
+    "&": r"\wedge", "|": r"\vee", "Bot": r"\bot", "-": r"\text{-}",
 }
+
+
+def _latex_label(rule: str) -> str:
+    """A rule label in LaTeX, part by part: a letter run is upright, and a
+    digit, or the n after *, is a subscript."""
+    def part(m):
+        if m["sub"]:
+            return "_" + m["sub"]
+        if m["word"]:
+            return r"\mathrm{" + m["word"] + "}"
+        return _LATEX_LABEL_PARTS.get(m[0], m[0])
+    return "(" + re.sub(r"=>|->|Bot|(?P<sub>\d|(?<=\*)n)|(?P<word>[A-Za-z]+)|.",
+                        part, rule) + ")"
 
 
 def _ascii_lines(d: Derivation, depth: int, out: list):
@@ -511,7 +509,7 @@ def _latex_lines(d: Derivation, out: list):
         infer = r"\UnaryInfC"
     else:
         infer = r"\BinaryInfC"
-    label = _LATEX_LABELS.get(d.rule, d.rule)
+    label = _latex_label(d.rule)
     out.append(r"\RightLabel{\scriptsize $" + label + "$}")
     out.append(infer + "{$" + _sequent_text(d.sequent, _LATEX) + "$}")
 

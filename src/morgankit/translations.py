@@ -76,14 +76,14 @@ class ClassRegistry:
     """Representatives of G3SDM-interderivability classes and their variables.
 
     Lookup walks the stored entries and tests interderivability with two
-    derive calls per candidate, behind two caches: a syntactic term cache and
-    a pair-verdict cache.  A cheap semantic screen (evaluation in the small
-    enumerated SDM algebras) rejects most non-equivalent pairs before any
-    proof search runs.  Misses insert a fresh class-indexed variable, so
-    variables are assigned in first-encounter order.  The top and bottom
-    classes get no variable: a term equivalent to T maps to T (F -> F) and
-    one equivalent to F maps to F, which keeps the order between them and
-    every other class.
+    derive calls per candidate, behind a syntactic term cache, so each term
+    meets each representative at most once.  A cheap semantic screen
+    (evaluation in the small enumerated SDM algebras) rejects most
+    non-equivalent pairs before any proof search runs.  Misses insert a
+    fresh class-indexed variable, so variables are assigned in
+    first-encounter order.  The top and bottom classes get no variable: a
+    term equivalent to T maps to T (F -> F) and one equivalent to F maps to
+    F, which keeps the order between them and every other class.
 
     Lookups mutate the registry; share one per translation run and do not
     write from two threads at once.
@@ -93,7 +93,6 @@ class ClassRegistry:
         self.engine = engine or default_engine()
         self.entries: list = []            # (representative, Var) in insertion order
         self._by_term: dict = {}
-        self._pair_cache: dict = {}
 
     @staticmethod
     def _semantically_apart(a: Term, b: Term) -> bool:
@@ -107,16 +106,9 @@ class ClassRegistry:
     def equivalent(self, a: Term, b: Term) -> bool:
         if a == b:
             return True
-        key = (a, b) if a.key() <= b.key() else (b, a)
-        hit = self._pair_cache.get(key)
-        if hit is None:
-            if self._semantically_apart(a, b):
-                hit = False
-            else:
-                hit = (self.engine.derivable(SDM, sequent(SDM, [a], b))
-                       and self.engine.derivable(SDM, sequent(SDM, [b], a)))
-            self._pair_cache[key] = hit
-        return hit
+        return (not self._semantically_apart(a, b)
+                and self.engine.derivable(SDM, sequent(SDM, [a], b))
+                and self.engine.derivable(SDM, sequent(SDM, [b], a)))
 
     def lookup(self, term: Term) -> Term:
         v = self._by_term.get(term)

@@ -10,7 +10,7 @@ from morgankit import (
     check_embedding, check_variety, dm4, enumerate_algebras, evaluate,
     parse_sequent, print_sequent, print_term, refute, valid, variables,
 )
-from morgankit.algebras import UnassignedVariableError, _canonical_key
+from morgankit.algebras import UnassignedVariableError
 from morgankit.corpus import CorpusConfig, generate_sequents
 
 p, q = Var("p"), Var("q")
@@ -65,8 +65,17 @@ def test_valid_pins():
 def test_enumeration_counts_and_membership():
     assert len(enumerate_algebras("dm", 2)) == 1
     dm_small = enumerate_algebras("dm", 4)
-    key = (4, _canonical_key(dm4()))
-    assert key in {(a.size, _canonical_key(a)) for a in dm_small}
+    d = dm4()
+    relabellings = []
+    for mids in itertools.permutations((1, 2)):
+        new = (0, *mids, 3)                      # element a becomes new[a]
+        old = sorted(range(4), key=new.__getitem__)
+        relabellings.append(FiniteAlgebra(
+            4,
+            tuple(tuple(new[d.join[old[x]][old[y]]] for y in range(4)) for x in range(4)),
+            tuple(tuple(new[d.meet[old[x]][old[y]]] for y in range(4)) for x in range(4)),
+            tuple(new[d.neg[old[x]]] for x in range(4))))
+    assert any(r in dm_small for r in relabellings)
     sdm3 = enumerate_algebras("sdm", 3)
     # the 3-chain with ~0=1 and ~m=~1=0 is SDM but not DM
     pseudo = [a for a in sdm3 if a.size == 3 and a.neg == (2, 0, 0)]
@@ -77,7 +86,7 @@ def test_enumeration_counts_and_membership():
 
 def test_enumeration_caps():
     with pytest.raises(ValueError):
-        enumerate_algebras("dm", 7)
+        enumerate_algebras("dm", 8)
     with pytest.raises(ValueError):
         enumerate_algebras("dm", 1)
 
@@ -135,6 +144,28 @@ def test_enumeration_pinned_to_size_6(variety, by_size, cumulative):
     digest = hashlib.sha256(
         repr([(a.size, a.join, a.meet, a.neg) for a in algs]).encode())
     assert digest.hexdigest() == ENUMERATION_SHA256[variety]
+
+
+# The same digest over enumerate_algebras(v, 7), as first computed by the
+# search over all orders on the middle elements with its size cap lifted.
+ENUMERATION_7_SHA256 = {
+    "sdm": "e75ae0901f70e847559783d3efd44591d9f1309a4aacad98364670483b18192b",
+    "dm": "fcdaf608c58d8bfc2e4ed4fb13b374927c59f9920044b96723c705f46fbfb30c",
+}
+
+
+@pytest.mark.parametrize("variety,by_size", [
+    ("sdm", {2: 1, 3: 3, 4: 11, 5: 31, 6: 106, 7: 335}),
+    ("dm", {2: 1, 3: 1, 4: 3, 5: 1, 6: 4, 7: 2}),
+])
+def test_enumeration_pinned_to_size_7(variety, by_size):
+    algs = enumerate_algebras(variety, 7)
+    assert dict(Counter(a.size for a in algs)) == by_size
+    assert algs[:sum(by_size.values()) - by_size[7]] == enumerate_algebras(variety, 6)
+    assert all(check_variety(a, variety) for a in algs)
+    digest = hashlib.sha256(
+        repr([(a.size, a.join, a.meet, a.neg) for a in algs]).encode())
+    assert digest.hexdigest() == ENUMERATION_7_SHA256[variety]
 
 
 # --- valid, refute and the registry screen against a brute-force reference --

@@ -301,7 +301,7 @@ def test_render_proof_that_does_not_replay_is_exit_2():
     obj["derivation"]["premisses"][0]["rule"] = "|R1"
     r = run_cli("render", stdin=json.dumps(obj))
     assert r.returncode == 2 and r.stdout == ""
-    assert "does not replay: root.0: no |R1 instance" in r.stderr
+    assert "does not replay: derivation.premisses[0]: no |R1 instance" in r.stderr
     assert "Traceback" not in r.stderr
 
 
