@@ -9,7 +9,9 @@ checked against that calculus's oracle: every SDM algebra up to --max-size
 tables (int, cl).  Every goal that search refutes is also handed to the
 height-bounded search, up to height 6.
 
-The script prints each disagreement, then the counts per calculus.  It exits
+The script prints each disagreement, then the counts per calculus, and
+last the process's peak resident set size.  Each calculus gets a search
+engine of its own, freed before the next one starts.  It exits
 1 when some goal is derivable yet refuted, is refuted yet derived by the
 bounded search, or, in dm and cl, where the oracle decides validity, holds
 yet is underivable.  In sdm and int such a goal is only a candidate: the
@@ -21,6 +23,7 @@ Usage: python scripts/census.py [--seed N] [--count N] [--max-weight W]
 
 import argparse
 import os
+import resource
 import sys
 import time
 from collections import Counter
@@ -28,7 +31,8 @@ from collections import Counter
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 
 from morgankit import (  # noqa: E402
-    SearchEngine, check_variety, dm4, enumerate_algebras, print_sequent, valid,
+    SearchEngine, check_variety, dm4, enumerate_algebras, print_sequent, refute,
+    valid,
 )
 from morgankit.corpus import CorpusConfig, generate_sequents  # noqa: E402
 from morgankit.search import classically_refutable  # noqa: E402
@@ -58,17 +62,17 @@ def main():
 
     four = dm4()
     oracles = {
-        "sdm": lambda s: all(valid(s, alg) for alg in algebras["sdm"]),
+        "sdm": lambda s: refute(s, "sdm", args.max_size) is None,
         "dm": lambda s: valid(s, four),
         "int": lambda s: not classically_refutable(s),
         "cl": lambda s: not classically_refutable(s),
     }
     print(f"seed={args.seed} count={args.count} max_weight={args.max_weight} "
           f"(max_weight bounds sdm and dm)")
-    engine = SearchEngine()
     failed = False
     for calc, holds in oracles.items():
         t0 = time.perf_counter()
+        engine = SearchEngine()
         distinct = list(dict.fromkeys(generate_sequents(
             calc, args.count, CorpusConfig(seed=args.seed),
             max_weight=args.max_weight)))
@@ -91,6 +95,8 @@ def main():
               f"hold {tally['hold']}, "
               + ", ".join(f"{kind} {tally[kind]}" for kind in KINDS)
               + f"  [{time.perf_counter() - t0:.1f}s]")
+    # ru_maxrss is in KiB on Linux
+    print(f"peak RSS {resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024:.0f} MB")
     return 1 if failed else 0
 
 

@@ -41,7 +41,7 @@ use it, because the identity derivation need not have minimal height.
 One bounded search answers every height query in all four calculi: the
 first derivation of height at most n in instance order.  It commits to no
 rule; the bound makes it terminate.  ``min_height`` takes its verdict from
-``derive``, then deepens the bound from 0.
+``derive``, then deepens the bound from 0 over one memo table.
 
 Before it expands an INT/CL goal, search tries to refute it classically:
 both calculi are sound for two-valued semantics, so a boolean valuation
@@ -55,11 +55,11 @@ variables a subgoal lacks changes none of its members.  A root with more
 than ``_REFUTE_VAR_CAP`` variables gets no tables; each goal is then tested
 on its own variables, and not at all when it too has more than the cap.
 
-Memoisation is per (calculus, canonical sequent), keyed by the exact
-sequent, and per (sequent, bound) for the bounded search; witnesses are real
-derivations of the queried goal.  Each memo is a plain dict (per-key updates
-are atomic under the GIL); per-goal search is single-threaded.
-``MORGANKIT_MEMO_LIMIT`` caps the number of entries of each.
+The engine keeps one memo, of ``derive`` results keyed by the exact
+sequent; witnesses are real derivations of the queried goal.  It is a plain
+dict (per-key updates are atomic under the GIL), capped at
+``MORGANKIT_MEMO_LIMIT`` entries; per-goal search is single-threaded.  Each
+height query keeps its table, per (sequent, bound), for that call alone.
 """
 
 from __future__ import annotations
@@ -132,15 +132,13 @@ class SearchEngine:
             memo_limit = int(env) if env else None
         self.memo_limit = memo_limit
         self._witness: dict = {}
-        self._bounded: dict = {}
 
     def reset(self):
         self._witness.clear()
-        self._bounded.clear()
 
-    def _store(self, table: dict, key, value):
-        if self.memo_limit is None or len(table) < self.memo_limit:
-            table[key] = value
+    def _store(self, key, value):
+        if self.memo_limit is None or len(self._witness) < self.memo_limit:
+            self._witness[key] = value
         return value
 
     # -- unbounded search ------------------------------------------------
@@ -166,19 +164,18 @@ class SearchEngine:
         root: there weights fall strictly, and search needs no identity
         derivation, prefilter or loop check.
         """
-        memo = self._witness
-        hit = memo.get(goal, _BIG)
+        hit = self._witness.get(goal, _BIG)
         if hit is not _BIG:
             return hit
         if path is not None:
             if goal.succedent in goal.antecedent:
-                return self._store(memo, goal, _identity(goal))
+                return self._store(goal, _identity(goal))
             if tt.refutes(goal):
                 # G3ip and G3ip+Gem-at are sound for two-valued semantics, so
                 # a boolean countermodel refutes absolutely; this collapses
                 # the search space that the implication-left rule would
                 # otherwise re-explore exponentially.
-                return self._store(memo, goal, None)
+                return self._store(goal, None)
             sf = goal.setform()
             seen_at = path.get(sf)
             if seen_at is not None:
@@ -214,7 +211,7 @@ class SearchEngine:
             if result is None and minref < depth:
                 return minref
         # a failure is absolute when every prune referenced this subtree
-        return self._store(memo, goal, result)
+        return self._store(goal, result)
 
     # -- height-exact search ----------------------------------------------
 
@@ -227,8 +224,9 @@ class SearchEngine:
         if self.derive(calculus, goal) is None:
             return None
         tt = _TruthTables(goal)
+        memo: dict = {}
         n = 0
-        while self._bd(goal, n, tt) is None:
+        while _bd(goal, n, tt, memo) is None:
             n += 1
         return n
 
@@ -239,34 +237,35 @@ class SearchEngine:
     def derive_within_height(self, calculus: str, goal: Sequent, n: int):
         """A derivation of height at most n, or None."""
         _checked(calculus, goal)
-        return self._bd(goal, n, _TruthTables(goal)) if n >= 0 else None
+        return _bd(goal, n, _TruthTables(goal), {}) if n >= 0 else None
 
-    def _bd(self, goal: Sequent, n: int, tt: "_TruthTables") -> Optional[Derivation]:
-        """The first derivation of height at most n, in instance order."""
-        key = (goal, n)
-        memo = self._bounded
-        hit = memo.get(key, _BIG)
-        if hit is not _BIG:
-            return hit
-        result = None
-        # _TruthTables reads ~ as F, so only INT/CL goals are prefiltered
-        if goal.calculus in (SDM, DM) or not tt.refutes(goal):
-            for inst in iter_instances(goal):
-                if not inst.premisses:
-                    result = _node(inst, ())
+
+def _bd(goal: Sequent, n: int, tt: "_TruthTables", memo: dict) -> Optional[Derivation]:
+    """The first derivation of height at most n, in instance order."""
+    key = (goal, n)
+    hit = memo.get(key, _BIG)
+    if hit is not _BIG:
+        return hit
+    result = None
+    # _TruthTables reads ~ as F, so only INT/CL goals are prefiltered
+    if goal.calculus in (SDM, DM) or not tt.refutes(goal):
+        for inst in iter_instances(goal):
+            if not inst.premisses:
+                result = _node(inst, ())
+                break
+            if n == 0:  # every rule table yields its axioms first
+                break
+            children = []
+            for p in inst.premisses:
+                d = _bd(p, n - 1, tt, memo)
+                if d is None:
                     break
-                if n == 0:  # every rule table yields its axioms first
-                    break
-                children = []
-                for p in inst.premisses:
-                    d = self._bd(p, n - 1, tt)
-                    if d is None:
-                        break
-                    children.append(d)
-                else:
-                    result = _node(inst, tuple(children))
-                    break
-        return self._store(memo, key, result)
+                children.append(d)
+            else:
+                result = _node(inst, tuple(children))
+                break
+    memo[key] = result
+    return result
 
 
 def _identity(goal: Sequent) -> Derivation:
@@ -504,11 +503,7 @@ def _latex_lines(d: Derivation, out: list):
         _latex_lines(c, out)
     if not d.children:
         out.append(r"\AxiomC{}")
-        infer = r"\UnaryInfC"
-    elif len(d.children) == 1:
-        infer = r"\UnaryInfC"
-    else:
-        infer = r"\BinaryInfC"
+    infer = r"\BinaryInfC" if len(d.children) > 1 else r"\UnaryInfC"
     label = _latex_label(d.rule)
     out.append(r"\RightLabel{\scriptsize $" + label + "$}")
     out.append(infer + "{$" + _sequent_text(d.sequent, _LATEX) + "$}")
@@ -544,7 +539,11 @@ def proof_from_obj(obj: dict) -> Derivation:
         raise ValueError(f"a proof is a JSON object, not a {type(obj).__name__}")
     if obj.get("schema") != PROOF_SCHEMA:
         raise ValueError(f"unsupported proof schema {obj.get('schema')!r}")
-    return _node_from_obj(_field(obj, "derivation", dict, "proof"), "derivation")
+    d = _node_from_obj(_field(obj, "derivation", dict, "proof"), "derivation")
+    calculus = _field(obj, "calculus", str, "proof")
+    if calculus != d.sequent.calculus:
+        raise ValueError(f"proof: calculus {calculus!r}, but the root is {d.sequent.calculus}")
+    return d
 
 
 def _node_from_obj(x, path: str) -> Derivation:

@@ -413,9 +413,12 @@ def member_to_obj(m) -> dict:
 
 def member_from_obj(obj: dict, calculus: str):
     t = term_from_obj(obj["term"])
+    star = obj.get("star", False)
+    if star is not True and star is not False:
+        raise ValueError(f"key 'star' holds a {type(star).__name__}, not true or false")
     if calculus == SDM:
-        return Struct(bool(obj.get("star", False)), t)
-    if obj.get("star", False):
+        return Struct(star, t)
+    if star:
         raise ValueError(f"starred member in a {calculus} sequent")
     return t
 

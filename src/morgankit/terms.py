@@ -272,7 +272,7 @@ class Sequent:
     INT and CL sequents carry bare terms.
     """
 
-    __slots__ = ("calculus", "antecedent", "succedent", "_h", "_setform")
+    __slots__ = ("calculus", "antecedent", "succedent", "_h")
 
     def __init__(self, calculus: str, antecedent: Iterable[Member], succedent: Member):
         ants = sorted(antecedent, key=_BY_KEY)
@@ -280,21 +280,10 @@ class Sequent:
         self.antecedent = tuple(ants)
         self.succedent = succedent
         self._h = hash((calculus, self.antecedent, succedent))
-        self._setform = None
 
     def setform(self):
         """Antecedent-as-set view, used for loop checking in INT/CL search."""
-        sf = self._setform
-        if sf is None:
-            dedup = []
-            prev = None
-            for m in self.antecedent:
-                if m is not prev:
-                    dedup.append(m)
-                    prev = m
-            sf = (self.calculus, tuple(dedup), self.succedent)
-            self._setform = sf
-        return sf
+        return self.calculus, tuple(dict.fromkeys(self.antecedent)), self.succedent
 
     def without(self, index: int) -> tuple:
         a = self.antecedent

@@ -74,6 +74,22 @@ def test_render_malformed_proof_is_exit_2():
     assert "derivation.premisses[0]: missing key 'rule'" in r.stderr
 
 
+def test_render_checks_the_proof_calculus():
+    r = run_cli("prove", "--calculus", "g3sdm", "~~~p => ~p", "--format", "json")
+    obj = json.loads(r.stdout)
+    assert run_cli("render", stdin=json.dumps(obj)).returncode == 0
+    for calculus, message in (("dm", "calculus 'dm', but the root is sdm"),
+                              (5, "key 'calculus' holds a int"),
+                              (None, "missing key 'calculus'")):
+        if calculus is None:
+            del obj["calculus"]
+        else:
+            obj["calculus"] = calculus
+        r = run_cli("render", stdin=json.dumps(obj))
+        assert r.returncode == 2, calculus
+        assert message in r.stderr and "Traceback" not in r.stderr
+
+
 def test_batch_mode_jsonl():
     r = run_cli("decide", "--calculus", "g3dm", "--batch",
                 stdin="~~p => p\np => q\nbad (\n")

@@ -1,7 +1,9 @@
+import gc
 import hashlib
 import itertools
 import json
 import pathlib
+import tracemalloc
 
 import pytest
 
@@ -403,6 +405,28 @@ def test_memo_limit_env(monkeypatch):
     for text in ["p => p", "q => q", "p & q => p", "~p => ~p", "r, q => r"]:
         eng.derive("sdm", parse_sequent(text, "sdm"))
     assert len(eng._witness) <= 3
+
+
+@pytest.mark.parametrize("calc,max_weight", [("sdm", 20), ("int", None)])
+def test_height_queries_retain_nothing(calc, max_weight):
+    # each height query keeps its memo for that call alone, so on an engine
+    # that derive has warmed, the queries leave nothing behind
+    goals = generate_sequents(calc, 300, CorpusConfig(seed=5), max_weight=max_weight)
+    eng = SearchEngine()
+    for g in goals:
+        eng.derive(calc, g)
+    gc.collect()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        for g in goals:
+            eng.derive_within_height(calc, g, 4)
+            eng.min_height(calc, g)
+        gc.collect()
+        retained = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert retained < 64 * 1024
 
 
 # SHA-256 over the height queries of seeded corpora in all four calculi: per

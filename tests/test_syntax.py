@@ -15,7 +15,8 @@ from morgankit import (
     sequent_from_obj, sequent_to_obj, term_from_obj, term_to_obj,
 )
 from morgankit.syntax import (
-    INT_CL, MAX_NESTING, SDM_DM, parse_partition, parse_structure,
+    INT_CL, MAX_NESTING, SDM_DM, member_from_obj, parse_partition,
+    parse_structure,
 )
 
 p, q, r = Var("p"), Var("q"), Var("r")
@@ -294,6 +295,19 @@ BAD_VAR_NAMES = [
 def test_term_from_obj_rejects_malformed_names(name, ns):
     with pytest.raises(ValueError, match="variable name"):
         term_from_obj({"op": "var", "name": name, "ns": ns})
+
+
+def test_member_star_is_a_json_boolean():
+    term = {"op": "var", "name": "p"}
+    for star in ("no", "true", 1, 0, None, []):
+        for calc in ("sdm", "dm"):
+            with pytest.raises(ValueError, match="key 'star'"):
+                member_from_obj({"star": star, "term": term}, calc)
+    assert member_from_obj({"term": term}, "sdm") is plain(p)
+    assert member_from_obj({"star": False, "term": term}, "dm") is p
+    assert member_from_obj({"star": True, "term": term}, "sdm") is starred(p)
+    with pytest.raises(ValueError, match="starred member in a dm sequent"):
+        member_from_obj({"star": True, "term": term}, "dm")
 
 
 _IDENTS = st.from_regex(r"[A-Za-z_][A-Za-z0-9_]*", fullmatch=True)
