@@ -41,7 +41,7 @@ from .search import (
 )
 from .terms import (
     BOT, DM, SDM, TOP_ALG,
-    And, Neg, Or, Sequent, Struct,
+    And, Neg, Or, Sequent,
     fold, plain, sequent, starred, t_flatten, variables,
 )
 
@@ -202,17 +202,12 @@ def verify_interpolant(calculus: str, goal: Sequent, part: Partition, candidate,
                        engine: Optional[SearchEngine] = None) -> bool:
     """Check conditions (i)-(iii): both obligations derivable, shared vocabulary."""
     calculus = normalize_calculus(calculus)
-    try:
+    try:   # a partition of another goal, or a candidate outside the language
         _sides_for(goal, part)
-    except PartitionMismatchError:
-        return False
-    if calculus == DM and isinstance(candidate, Struct):
+        obligations = _obligations(calculus, goal, part, candidate)
+    except (ValueError, TypeError):
         return False
     eng = engine or default_engine()
-    try:
-        obligations = _obligations(calculus, goal, part, candidate)
-    except ValueError:
-        return False
     if not all(eng.derivable(calculus, g) for g in obligations):
         return False
     shared = variables(part.left) & (variables(part.right) | variables(goal.succedent))

@@ -549,8 +549,11 @@ def proof_from_obj(obj: dict) -> Derivation:
 def _node_from_obj(x, path: str) -> Derivation:
     if not isinstance(x, dict):
         raise ValueError(f"{path}: a node is an object, not a {type(x).__name__}")
+    obj = _field(x, "sequent", dict, path)
     try:
-        seq = sequent_from_obj(_field(x, "sequent", dict, path))
+        seq = sequent_from_obj(obj)
+    except ValueError as e:
+        raise ValueError(f"{path}.sequent: {e}") from None
     except (KeyError, TypeError, AttributeError) as e:
         raise ValueError(f"{path}.sequent: malformed sequent ({e!r})") from None
     premisses = _field(x, "premisses", list, path)

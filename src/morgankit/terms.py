@@ -316,14 +316,13 @@ def sequent(calculus: str, antecedent: Iterable[Member], succedent: Member) -> S
             succedent = plain(succedent)
         ants = [m if isinstance(m, Struct) else plain(m) for m in ants]
         for m in ants + [succedent]:
-            if not is_alg_term(m.term):
+            if not _avoids(m.term, Imp):
                 raise ValueError("SDM sequents use the algebraic language")
     else:
         if isinstance(succedent, Struct) or any(isinstance(m, Struct) for m in ants):
             raise ValueError(f"{calculus} sequents carry no starred members")
-        check = is_alg_term if calculus == DM else is_imp_term
         for m in ants + [succedent]:
-            if not check(m):
+            if not _avoids(m, Imp if calculus == DM else Neg):
                 raise ValueError(f"term outside the {calculus} language")
     return Sequent(calculus, ants, succedent)
 
@@ -333,31 +332,24 @@ def canonical_form(s: Sequent) -> Sequent:
     return Sequent(s.calculus, s.antecedent, s.succedent)
 
 
-def is_alg_term(t: Term) -> bool:
-    """True iff t avoids ->, i.e. lies in the SDM/DM language."""
+def _avoids(t: Term, connective) -> bool:
+    """True iff the term t has no node of type connective: Imp for the
+    SDM/DM language, Neg for the INT/CL one.  TypeError if t is not a term."""
     stack = [t]
     while stack:
         x = stack.pop()
-        if type(x) is Imp:
+        ty = type(x)
+        if ty is Var or ty is _Bottom:
+            continue
+        if ty is connective:
             return False
-        if type(x) is Neg:
+        if ty is Neg:
             stack.append(x.arg)
-        elif type(x) is And or type(x) is Or:
+        elif ty is And or ty is Or or ty is Imp:
             stack.append(x.left)
             stack.append(x.right)
-    return True
-
-
-def is_imp_term(t: Term) -> bool:
-    """True iff t avoids ~, i.e. lies in the INT/CL language."""
-    stack = [t]
-    while stack:
-        x = stack.pop()
-        if type(x) is Neg:
-            return False
-        if type(x) in (And, Or, Imp):
-            stack.append(x.left)
-            stack.append(x.right)
+        else:
+            raise TypeError(f"expected a term, not {x!r}")
     return True
 
 
@@ -441,40 +433,43 @@ def dm_weight(x) -> int:
     raise TypeError(f"cannot weigh {x!r}")
 
 
+def _nodes(x) -> list:
+    """Every node of a term, structure, sequent, or plain tuple or list of
+    these (nested), once per occurrence; anything else is listed as it is."""
+    out = []
+    stack = [x]
+    while stack:
+        item = stack.pop()
+        ty = type(item)
+        if ty is Var:
+            out.append(item)
+        elif ty is Neg:
+            out.append(item)
+            stack.append(item.arg)
+        elif ty is And or ty is Or or ty is Imp:
+            out.append(item)
+            stack.append(item.left)
+            stack.append(item.right)
+        elif ty is Sequent:
+            stack += (*item.antecedent, item.succedent)
+        elif ty in _SEQUENCES:
+            stack += item
+        else:
+            out.append(item)
+            if ty is Struct:
+                stack.append(item.term)
+    return out
+
+
 def complexity(x) -> int:
-    """Connective count (~, &, |, ->; plus * on structures). Diagnostic only."""
-    if isinstance(x, Struct):
-        return complexity(x.term) + (1 if x.star else 0)
-    if isinstance(x, Sequent):
-        return sum(complexity(m) for m in x.antecedent) + complexity(x.succedent)
-    if type(x) in _SEQUENCES:
-        return sum(complexity(m) for m in x)
-    ty = type(x)
-    if ty is Var or ty is _Bottom:
-        return 0
-    if ty is Neg:
-        return 1 + complexity(x.arg)
-    return 1 + complexity(x.left) + complexity(x.right)
+    """Connective count (~, &, |, ->; plus * on structures). Diagnostic only.
+    TypeError on anything _nodes does not take apart, as for the weights."""
+    nodes = _nodes(x)
+    if not all(isinstance(v, (Term, Struct)) for v in nodes):
+        raise TypeError(f"cannot measure {x!r}")
+    return sum(v.star if type(v) is Struct else type(v) not in (Var, _Bottom) for v in nodes)
 
 
 def variables(x) -> frozenset:
     """The set of (namespace, name) pairs occurring in x."""
-    out = set()
-    stack = [x]
-    while stack:
-        item = stack.pop()
-        if isinstance(item, Sequent):
-            stack.extend(item.antecedent)
-            stack.append(item.succedent)
-        elif isinstance(item, Struct):
-            stack.append(item.term)
-        elif type(item) in _SEQUENCES:
-            stack.extend(item)
-        elif type(item) is Var:
-            out.add((item.ns, item.name))
-        elif type(item) is Neg:
-            stack.append(item.arg)
-        elif type(item) in (And, Or, Imp):
-            stack.append(item.left)
-            stack.append(item.right)
-    return frozenset(out)
+    return frozenset((v.ns, v.name) for v in _nodes(x) if type(v) is Var)

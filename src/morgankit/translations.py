@@ -18,7 +18,7 @@ from .syntax import print_sequent, print_term
 from .terms import (
     BOT, CL, CLASS, DM, INT, PRIMED, DOUBLED, SDM, TOP_ALG, TOP_IMP,
     And, Imp, Neg, Or, Sequent, Term, Var,
-    _members, dm_weight, fold, is_alg_term, plain, sequent, t_flatten, variables,
+    _avoids, _members, dm_weight, fold, plain, sequent, t_flatten, variables,
 )
 
 
@@ -140,7 +140,7 @@ class ClassRegistry:
 def k_to_int(phi: Term, reg: ClassRegistry) -> Term:
     """SDM term into the intuitionistic language; irreducible ~(a & b) and
     ~~(a | b) become class variables, one per G3SDM-interderivability class."""
-    if not is_alg_term(phi):
+    if not _avoids(phi, Imp):
         raise ValueError("k is defined on the algebraic language")
     return _k(phi, reg, None)
 
@@ -206,6 +206,8 @@ def h_to_cl(phi: Term) -> Term:
         return And(h_to_cl(phi.left), h_to_cl(phi.right))
     if ty is Or:
         return Or(h_to_cl(phi.left), h_to_cl(phi.right))
+    if ty is Imp:
+        raise ValueError("h is defined on the algebraic language")
     x = phi.arg
     tx = type(x)
     if tx is Var:
@@ -216,7 +218,9 @@ def h_to_cl(phi: Term) -> Term:
         return Or(h_to_cl(Neg(x.left)), h_to_cl(Neg(x.right)))
     if tx is Or:
         return And(h_to_cl(Neg(x.left)), h_to_cl(Neg(x.right)))
-    return h_to_cl(x.arg)
+    if tx is Neg:
+        return h_to_cl(x.arg)
+    raise ValueError("h is defined on the algebraic language")
 
 
 h_sequent = _memberwise(CL, h_to_cl)
@@ -248,11 +252,13 @@ TRANSLATIONS = {
 
 
 def translate(name: str, x, registry: Optional[ClassRegistry] = None):
-    """The image of a term (a structure, for t) or a sequent under one map.
-
-    Only k reads the registry: it names its class atoms there.
+    """The image of a term (a structure, for t) or a sequent under one map;
+    a sequent must be of the map's source calculus.  Only k reads the
+    registry: it names its class atoms there.
     """
-    _, on_term, on_sequent = TRANSLATIONS[name]
+    source, on_term, on_sequent = TRANSLATIONS[name]
+    if isinstance(x, Sequent) and x.calculus != source:
+        raise ValueError(f"{name} reads {source} sequents, not {x.calculus}")
     image = on_sequent if isinstance(x, Sequent) else on_term
     return image(x, registry) if name == "k" else image(x)
 

@@ -90,6 +90,21 @@ def test_render_checks_the_proof_calculus():
         assert message in r.stderr and "Traceback" not in r.stderr
 
 
+
+def test_render_names_the_node_of_a_bad_sequent():
+    proof = run_cli("prove", "--calculus", "g3sdm", "p & q => p", "--format", "json").stdout
+    for spoil, message in (
+            (lambda s: s["succedent"].update(star=1), "key 'star' holds a int, not true or false"),
+            (lambda s: s.update(calculus=["sdm"]), "unknown calculus ['sdm']"),
+            (lambda s: s["succedent"]["term"].update(ns="weird"), "unknown namespace 'weird'")):
+        obj = json.loads(proof)
+        spoil(obj["derivation"]["premisses"][0]["sequent"])
+        r = run_cli("render", stdin=json.dumps(obj))
+        assert r.returncode == 2, message
+        assert "derivation.premisses[0].sequent: " + message in r.stderr
+        assert "Traceback" not in r.stderr
+
+
 def test_batch_mode_jsonl():
     r = run_cli("decide", "--calculus", "g3dm", "--batch",
                 stdin="~~p => p\np => q\nbad (\n")

@@ -93,6 +93,14 @@ def test_verify_conditions():
     assert verify_interpolant("sdm", s2, top_part, starred(BOT))
 
 
+
+def test_verify_rejects_a_candidate_that_is_not_a_term():
+    for calc in ("sdm", "dm"):
+        s = parse_sequent("p, q => p", calc)
+        part = Partition.of([s.antecedent[0]], [s.antecedent[1]])
+        for candidate in (5, "p", None):
+            assert verify_interpolant(calc, s, part, candidate) is False
+
 def test_partition_must_match():
     s = parse_sequent("p, q => p", "sdm")
     d = derive("sdm", s)

@@ -12,7 +12,7 @@ from morgankit import (
 )
 from morgankit.calculi import STAR_FAMILY
 from morgankit.corpus import CorpusConfig, generate_sequents
-from morgankit.translations import big_or
+from morgankit.translations import TRANSLATIONS, big_or, translate
 
 p, q, r = Var("p"), Var("q"), Var("r")
 
@@ -141,6 +141,9 @@ def test_h_clauses():
     assert h_to_cl(Neg(BOT)) == TOP_IMP
     assert h_to_cl(Neg(Neg(Neg(p)))) == Var("p", "primed")
 
+    for t in (Imp(p, q), Neg(Imp(p, q)), And(p, Neg(Neg(Imp(p, q))))):
+        with pytest.raises(ValueError, match="h is defined on the algebraic language"):
+            h_to_cl(t)
 
 def test_g_clauses():
     assert g_glivenko(p) == Imp(Imp(p, BOT), BOT)
@@ -176,6 +179,19 @@ def test_check_embedding_rejects_mismatched_corpus():
         check_embedding("dm-to-sdm-f", [parse_sequent("p => p", "sdm")])
     with pytest.raises(ValueError):
         check_embedding("no-such-kind", [])
+
+
+
+def test_translate_rejects_a_sequent_of_another_calculus():
+    sdm = parse_sequent("*~(p & q) => p", "sdm")
+    dm = parse_sequent("~(p & q) => p", "dm")
+    for name, (source, _, _) in TRANSLATIONS.items():
+        s = dm if source == "sdm" else sdm
+        with pytest.raises(ValueError, match=f"{name} reads {source} sequents, not {s.calculus}"):
+            translate(name, s, ClassRegistry())
+    # a sequent of the source calculus keeps its image
+    assert translate("h", dm) == h_sequent(dm)
+    assert print_sequent(translate("k", sdm, ClassRegistry())) == "p'' & q'' => p"
 
 
 # -- characterization: counterexamples of the star rule alone --------------
@@ -232,7 +248,7 @@ def test_or_of_negations_direction():
     # of negated members; the SDM calculus cannot host this (it needs the
     # full law ~(a & b) = ~a | ~b), see the characterization test below
     from morgankit.corpus import CorpusConfig, derivable_corpus
-    from morgankit.translations import big_or
+    from morgankit.translations import TRANSLATIONS, big_or, translate
     eng = SearchEngine()
     cfg = CorpusConfig(seed=71, max_depth=2, max_antecedent=3)
     for s in derivable_corpus("dm", 60, cfg, max_weight=14, engine=eng):
