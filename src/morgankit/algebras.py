@@ -27,7 +27,7 @@ import itertools
 from typing import NamedTuple, Optional
 
 from .terms import (
-    DM, SDM,
+    BOT, DM, SDM,
     And, Imp, Neg, Or, Sequent, Term, Var,
     t_flatten, variables,
 )
@@ -208,7 +208,9 @@ def evaluate(phi: Term, assignment: dict, alg: FiniteAlgebra) -> int:
             evaluate(phi.right, assignment, alg)]
     if ty is Imp:
         raise ValueError("algebra evaluation is defined on the algebraic language")
-    return alg.zero
+    if phi is BOT:
+        return alg.zero
+    raise TypeError(f"expected a term, not {phi!r}")
 
 
 def _flatten_for(s: Sequent):

@@ -57,14 +57,14 @@ on its own variables, and not at all when it too has more than the cap.
 
 The engine keeps one memo, of ``derive`` results keyed by the exact
 sequent; witnesses are real derivations of the queried goal.  It is a plain
-dict (per-key updates are atomic under the GIL), capped at
-``MORGANKIT_MEMO_LIMIT`` entries; per-goal search is single-threaded.  Each
-height query keeps its table, per (sequent, bound), for that call alone.
+dict (per-key updates are atomic under the GIL); per-goal search is
+single-threaded.  A store into a memo that holds ``_MEMO_CAP`` entries first
+clears it, so memory stays bounded and memoisation never stops.  Each height
+query keeps its table, per (sequent, bound), for that call alone.
 """
 
 from __future__ import annotations
 
-import os
 import re
 from typing import NamedTuple, Optional
 
@@ -80,6 +80,10 @@ from .terms import (
 PROOF_SCHEMA = "morgan-kit/proof/v1"
 
 _BIG = 1 << 60
+
+# A store clears the memo once it holds this many entries.  A 20,000-goal
+# run per calculus ends below 100,000, and an entry takes 231-574 bytes.
+_MEMO_CAP = 1 << 19
 
 _CALCULUS_ALIASES = {
     "sdm": SDM, "g3sdm": SDM,
@@ -126,19 +130,17 @@ class InvalidDerivationError(ValueError):
 class SearchEngine:
     """Shared-memo proof search over the four rule tables."""
 
-    def __init__(self, memo_limit: Optional[int] = None):
-        if memo_limit is None:
-            env = os.environ.get("MORGANKIT_MEMO_LIMIT")
-            memo_limit = int(env) if env else None
-        self.memo_limit = memo_limit
+    def __init__(self):
         self._witness: dict = {}
 
     def reset(self):
         self._witness.clear()
 
     def _store(self, key, value):
-        if self.memo_limit is None or len(self._witness) < self.memo_limit:
-            self._witness[key] = value
+        memo = self._witness
+        if len(memo) >= _MEMO_CAP:
+            memo.clear()
+        memo[key] = value
         return value
 
     # -- unbounded search ------------------------------------------------

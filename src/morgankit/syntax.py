@@ -315,8 +315,10 @@ def _print(t: Term, prec: int, right: bool, n: _Notation = _ASCII) -> str:
         own, op = _PREC_OR, n.disj
     elif ty is Imp:
         own, op = _PREC_IMP, n.imp
-    else:
+    elif t is BOT:
         return n.bot
+    else:
+        raise TypeError(f"expected a term, not {t!r}")
     s = _print(t.left, own, False, n) + op + _print(t.right, own, True, n)
     if own < prec or (own == prec and right):
         return "(" + s + ")"
@@ -364,7 +366,9 @@ def term_to_obj(t: Term) -> dict:
         return {"op": "or", "left": term_to_obj(t.left), "right": term_to_obj(t.right)}
     if ty is Imp:
         return {"op": "imp", "left": term_to_obj(t.left), "right": term_to_obj(t.right)}
-    return {"op": "bot"}
+    if t is BOT:
+        return {"op": "bot"}
+    raise TypeError(f"expected a term, not {t!r}")
 
 
 def term_from_obj(obj: dict) -> Term:

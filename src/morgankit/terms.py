@@ -368,23 +368,25 @@ def _members(x):
     return x
 
 
-def _sdm_w(t: Term) -> int:
-    w = t._sw
-    if w is None:
+def _weigh(t: Term) -> Term:
+    """Fill the _dw and _sw slots of t and of each subterm that lacks them,
+    and return t.  _sw is written last, so a node whose _sw is set has both."""
+    if t._sw is None:
         ty = type(t)
         if ty is Neg:
-            w = _sdm_w(t.arg) + 2
-        elif ty is Or:
-            w = _sdm_w(t.left) + _sdm_w(t.right) + 2
-        elif ty is And:
-            # A conjunction adds 4, not 3: with 3 the starred-negated-conjunction
-            # left rule keeps the sequent weight constant, and backward search
-            # needs every rule to lower it strictly.
-            w = _sdm_w(t.left) + _sdm_w(t.right) + 4
+            arg = _weigh(t.arg)
+            t._dw = arg._dw + 1
+            t._sw = arg._sw + 2
+        elif ty is And or ty is Or:
+            left, right = _weigh(t.left), _weigh(t.right)
+            t._dw = left._dw + right._dw + 2
+            # A conjunction adds 4 to the SDM weight, not 3: with 3 the
+            # starred-negated-conjunction left rule keeps the sequent weight
+            # constant, and backward search needs every rule to lower it strictly.
+            t._sw = left._sw + right._sw + (4 if ty is And else 2)
         else:
-            raise TypeError("SDM weight is defined on the algebraic language only")
-        t._sw = w
-    return w
+            raise TypeError("the weights are defined on the algebraic language only")
+    return t
 
 
 def sdm_weight(x) -> int:
@@ -396,9 +398,9 @@ def sdm_weight(x) -> int:
     sequent.
     """
     if isinstance(x, Term):
-        return _sdm_w(x)
+        return x._sw if x._sw is not None else _weigh(x)._sw
     if isinstance(x, Struct):
-        return _sdm_w(x.term) + (1 if x.star else 0)
+        return sdm_weight(x.term) + (1 if x.star else 0)
     if isinstance(x, Sequent):
         if x.calculus == DM:
             return 0
@@ -408,28 +410,14 @@ def sdm_weight(x) -> int:
     raise TypeError(f"cannot weigh {x!r}")
 
 
-def _dm_w(t: Term) -> int:
-    w = t._dw
-    if w is None:
-        ty = type(t)
-        if ty is Neg:
-            w = _dm_w(t.arg) + 1
-        elif ty is Or or ty is And:
-            w = _dm_w(t.left) + _dm_w(t.right) + 2
-        else:
-            raise TypeError("DM weight is defined on the algebraic language only")
-        t._dw = w
-    return w
-
-
 def dm_weight(x) -> int:
     """Weight measure bounding G3DM proof search."""
     if isinstance(x, Term):
-        return _dm_w(x)
+        return x._dw if x._sw is not None else _weigh(x)._dw
     if isinstance(x, Sequent):
-        return sum(_dm_w(m) for m in x.antecedent) + _dm_w(x.succedent)
+        return sum(dm_weight(m) for m in x.antecedent) + dm_weight(x.succedent)
     if type(x) in _SEQUENCES:
-        return sum(_dm_w(m) for m in x)
+        return sum(dm_weight(m) for m in x)
     raise TypeError(f"cannot weigh {x!r}")
 
 

@@ -208,6 +208,8 @@ def h_to_cl(phi: Term) -> Term:
         return Or(h_to_cl(phi.left), h_to_cl(phi.right))
     if ty is Imp:
         raise ValueError("h is defined on the algebraic language")
+    if ty is not Neg:
+        raise TypeError(f"expected a term, not {phi!r}")
     x = phi.arg
     tx = type(x)
     if tx is Var:

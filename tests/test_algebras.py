@@ -45,6 +45,34 @@ def test_malformed_tables_rejected():
         FiniteAlgebra(2, ((0, 9), (1, 1)), ((0, 0), (0, 1)), (1, 0))
 
 
+def _algebra(size, covers, neg):
+    """The algebra/v1 object of the order generated by the covering pairs."""
+    leq = {(a, a) for a in range(size)} | set(covers)
+    while True:
+        more = {(a, d) for a, b in leq for c, d in leq if b == c} - leq
+        if not more:
+            break
+        leq |= more
+    return FiniteAlgebra.from_obj({"size": size, "order": sorted(leq), "neg": neg})
+
+
+def test_reference_checks_reject():
+    # M3 and N5, the two non-distributive lattices, with a negation that
+    # swaps the bounds
+    m3 = _algebra(5, [(0, 1), (0, 2), (0, 3), (1, 4), (2, 4), (3, 4)], [4, 0, 0, 0, 0])
+    n5 = _algebra(5, [(0, 1), (1, 2), (2, 4), (0, 3), (3, 4)], [4, 0, 0, 0, 0])
+    for alg in (m3, n5):
+        assert not check_variety(alg, "sdm") and not check_variety(alg, "dm")
+    with pytest.raises(ValueError, match="order is not a lattice"):
+        _algebra(3, [(0, 1), (0, 2)], [0, 0, 0])
+    with pytest.raises(ValueError, match="unsupported algebra schema 'x'"):
+        FiniteAlgebra.from_obj({**dm4().to_obj(), "schema": "x"})
+    chain = _algebra(3, [(0, 1), (1, 2)], [2, 0, 0])
+    assert check_variety(chain, "sdm") and not check_variety(chain, "dm")
+    flat = FiniteAlgebra(2, BOOL2.join, BOOL2.meet, (0, 0))
+    assert not check_variety(flat, "sdm") and not check_variety(flat, "dm")
+
+
 def test_evaluate_pins():
     a = dm4()
     assert evaluate(Neg(BOT), {}, a) == 3

@@ -207,11 +207,27 @@ def test_proof_json_roundtrip():
         assert proof_from_obj(obj) == d
 
 
-def test_memo_limit_respected():
-    eng = SearchEngine(memo_limit=4)
-    for text in ["p => p", "q => q", "p & q => p", "~p => ~p", "p | q => q | p"]:
-        eng.derive("sdm", parse_sequent(text, "sdm"))
-    assert len(eng._witness) <= 4
+def test_memo_limit_respected(monkeypatch):
+    # a store into a full memo clears it first: the memo never holds more
+    # than the cap, and every verdict is a fresh, uncapped engine's
+    from morgankit import search
+    cfg = CorpusConfig(seed=21, max_depth=3)
+    goals = [(calc, s) for calc, w in (("sdm", 20), ("dm", 20), ("int", None), ("cl", None))
+             for s in generate_sequents(calc, 40, cfg, max_weight=w)]
+    expected = [SearchEngine().derivable(calc, s) for calc, s in goals]
+    monkeypatch.setattr(search, "_MEMO_CAP", 4)
+    eng = SearchEngine()
+    stored = eng._store
+
+    def store(key, value):
+        assert len(eng._witness) <= 4
+        return stored(key, value)
+
+    eng._store = store
+    for (calc, s), want in zip(goals, expected):
+        assert eng.derivable(calc, s) == want, print_sequent(s)
+        assert len(eng._witness) <= 4
+    assert True in expected and False in expected
 
 
 def test_memoized_rerun_consistent():
@@ -396,15 +412,6 @@ def test_t_flattening_preserves_derivability_nonempty():
     for s in generate_sequents("sdm", 120, cfg, max_weight=18):
         assert eng.derivable("sdm", s) == eng.derivable("sdm", t_sequent(s)), \
             print_sequent(s)
-
-
-def test_memo_limit_env(monkeypatch):
-    monkeypatch.setenv("MORGANKIT_MEMO_LIMIT", "3")
-    eng = SearchEngine()
-    assert eng.memo_limit == 3
-    for text in ["p => p", "q => q", "p & q => p", "~p => ~p", "r, q => r"]:
-        eng.derive("sdm", parse_sequent(text, "sdm"))
-    assert len(eng._witness) <= 3
 
 
 @pytest.mark.parametrize("calc,max_weight", [("sdm", 20), ("int", None)])

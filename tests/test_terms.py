@@ -223,7 +223,45 @@ def test_constructors_and_translations_reject_non_terms():
     for calc, ants, succ in (("dm", [], 5), ("int", [5], p)):
         with pytest.raises(TypeError):
             sequent(calc, ants, succ)
+    # a non-term never reads as F
+    from morgankit import dm4, evaluate, print_term
+    from morgankit.syntax import term_to_obj
+    from morgankit.translations import h_to_cl, translate
+    for fn in (lambda: print_term(5), lambda: print_term(starred(p)),
+               lambda: term_to_obj(starred(p)), lambda: evaluate(starred(p), {"p": 1}, dm4()),
+               lambda: h_to_cl(5), lambda: translate("h", 5), lambda: dm_weight(s)):
+        with pytest.raises(TypeError):
+            fn()
     # the domain itself is unchanged
     assert t_flatten(s) is p and t_flatten([Struct(False, p)]) is p
     assert double_negate([p]) == (Neg(Neg(p)),) and g_glivenko((p,)) == (Imp(Imp(p, BOT), BOT),)
     assert f_godel_gentzen([]) is Neg(BOT) and t_flatten(starred(p)) is Neg(p)
+
+
+def test_language_and_tag_checks():
+    from morgankit import (
+        ClassRegistry, check_derivation_report, derive, f_godel_gentzen,
+        k_to_int, parse_sequent, sequent,
+    )
+    from morgankit.syntax import sequent_from_obj, sequent_to_obj, term_to_obj
+    p, q = Var("p"), Var("q")
+    for calc, ants, succ, message in (
+            ("sdm", [Imp(p, q)], p, "SDM sequents use the algebraic language"),
+            ("dm", [], Imp(p, q), "term outside the dm language"),
+            ("int", [Neg(p)], p, "term outside the int language"),
+            ("dm", [starred(p)], p, "dm sequents carry no starred members"),
+            ("xx", [], p, "unknown calculus 'xx'")):
+        with pytest.raises(ValueError) as err:
+            sequent(calc, ants, succ)
+        assert str(err.value) == message
+    with pytest.raises(ValueError, match="k is defined on the algebraic language"):
+        k_to_int(Imp(p, q), ClassRegistry())
+    with pytest.raises(ValueError, match="f is defined on the algebraic language"):
+        f_godel_gentzen(Imp(p, q))
+    obj = sequent_to_obj(parse_sequent("p => q", "dm"))
+    obj["succedent"]["term"] = term_to_obj(Imp(p, q))
+    with pytest.raises(ValueError) as err:
+        sequent_from_obj(obj)
+    assert str(err.value) == "term outside the dm language"
+    d = derive("sdm", parse_sequent("p => p", "sdm"))
+    assert check_derivation_report("dm", d) == (False, "derivation: sequent tagged sdm, expected dm")
