@@ -24,7 +24,7 @@ the class-registry screen in ``translations`` all walk it.
 from __future__ import annotations
 
 import itertools
-from typing import NamedTuple, Optional
+from collections import namedtuple
 
 from .terms import (
     BOT, DM, SDM,
@@ -35,20 +35,12 @@ from .terms import (
 ALGEBRA_SCHEMA = "morgan-kit/algebra/v1"
 
 
-class _AlgebraFields(NamedTuple):
-    size: int
-    join: tuple      # size x size tuples
-    meet: tuple
-    neg: tuple
-    zero: int
-    one: int
-
-
-class FiniteAlgebra(_AlgebraFields):
+class FiniteAlgebra(namedtuple("FiniteAlgebra", "size join meet neg zero one")):
     """Carrier {0..size-1} with join/meet/neg tables; zero and one element ids.
 
-    A named tuple whose constructor checks the tables; ``one`` defaults to
-    the top, size - 1.
+    A named tuple whose constructor checks the tables: join and meet are
+    size x size tuples, and every entry and both ids lie in the carrier.
+    ``one`` defaults to the top, size - 1.
     """
 
     __slots__ = ()
@@ -64,6 +56,8 @@ class FiniteAlgebra(_AlgebraFields):
                 raise ValueError("table entry outside the carrier")
         if len(neg) != size or any(not (0 <= v < size) for v in neg):
             raise ValueError("negation table outside the carrier")
+        if not (0 <= zero < size and 0 <= one < size):
+            raise ValueError("zero or one outside the carrier")
         return tuple.__new__(cls, (size, join, meet, neg, zero, one))
 
     def leq(self, a: int, b: int) -> bool:
@@ -90,6 +84,8 @@ class FiniteAlgebra(_AlgebraFields):
         n = obj["size"]
         leq = [[False] * n for _ in range(n)]
         for a, b in obj["order"]:
+            if not (0 <= a < n and 0 <= b < n):
+                raise ValueError("order pair outside the carrier")
             leq[a][b] = True
         join, meet = _tables_from_leq(n, leq)
         if join is None:
@@ -317,8 +313,7 @@ def enumerate_algebras(variety: str, max_size: int) -> list:
     return out
 
 
-def refute(s: Sequent, variety: str, max_size: int,
-           ) -> Optional[tuple]:
+def refute(s: Sequent, variety: str, max_size: int) -> tuple | None:
     """First (algebra, assignment) invalidating s among enumerated algebras."""
     lhs, rhs = _flatten_for(s)
     names = _names(s)

@@ -35,7 +35,8 @@ still considers it.
 
 from __future__ import annotations
 
-from typing import Iterator, NamedTuple, Optional
+from collections import namedtuple
+from collections.abc import Iterator
 
 from .terms import (
     BOT, CL, DM, INT, SDM,
@@ -48,11 +49,8 @@ class CalculusMismatchError(ValueError):
     """The goal's calculus tag does not match the requested rule table."""
 
 
-class RuleInstance(NamedTuple):
-    label: str
-    conclusion: Sequent
-    premisses: tuple
-    principal: Optional[int]
+class RuleInstance(namedtuple("RuleInstance", "label conclusion premisses principal")):
+    __slots__ = ()
 
     def __repr__(self):
         return f"<RuleInstance {self.label} principal={self.principal}>"
@@ -283,10 +281,10 @@ def iter_g3dm(goal: Sequent) -> Iterator[RuleInstance]:
         yield RuleInstance("=>~&2", goal, (_with_succ(goal, Neg(a.right)),), -1)
 
 
-def iter_g3ip(goal: Sequent, classical: bool = False) -> Iterator[RuleInstance]:
-    expected = CL if classical else INT
-    if goal.calculus != expected:
-        raise CalculusMismatchError(f"expected a {expected} goal, got {goal.calculus}")
+def iter_g3ip(goal: Sequent) -> Iterator[RuleInstance]:
+    """G3ip instances for an INT goal; G3ip+Gem-at instances for a CL goal."""
+    if goal.calculus not in (INT, CL):
+        raise CalculusMismatchError(f"expected an INT or CL goal, got {goal.calculus}")
     ants = goal.antecedent
     succ = goal.succedent
 
@@ -325,7 +323,7 @@ def iter_g3ip(goal: Sequent, classical: bool = False) -> Iterator[RuleInstance]:
             second = _replace(goal, i, (t.right,))
             yield RuleInstance("->L", goal, (first, second), i)
 
-    if classical:
+    if goal.calculus == CL:
         for ns, name in sorted(variables(goal)):
             v = Var(name, ns)
             yield RuleInstance(
@@ -344,13 +342,13 @@ def expand_g3dm(goal: Sequent) -> list:
     return list(iter_g3dm(goal))
 
 
-def expand_g3ip(goal: Sequent, classical: bool = False) -> list:
-    """All G3ip instances; with `classical`, Gem-at instances as well.
+def expand_g3ip(goal: Sequent) -> list:
+    """All G3ip instances; for a CL goal, Gem-at instances as well.
 
     Gem-at is instantiated only at variables occurring in the goal: fresh
     variables can never help close a branch.
     """
-    return list(iter_g3ip(goal, classical))
+    return list(iter_g3ip(goal))
 
 
 def iter_instances(goal: Sequent) -> Iterator[RuleInstance]:
@@ -359,7 +357,7 @@ def iter_instances(goal: Sequent) -> Iterator[RuleInstance]:
         return iter_g3sdm(goal)
     if goal.calculus == DM:
         return iter_g3dm(goal)
-    return iter_g3ip(goal, classical=goal.calculus == CL)
+    return iter_g3ip(goal)
 
 
 def expand(goal: Sequent) -> list:

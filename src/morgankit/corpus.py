@@ -8,8 +8,8 @@ seeds, so corpora are reproducible byte-for-byte on a fixed version.
 from __future__ import annotations
 
 import random
+from collections import namedtuple
 from itertools import islice
-from typing import NamedTuple, Optional
 
 from .terms import (
     BOT, CL, DM, INT, SDM,
@@ -18,19 +18,15 @@ from .terms import (
 )
 
 
-class _CorpusFields(NamedTuple):
-    seed: int
-    max_depth: int                # grammar recursion depth, capped at 5
-    variables: tuple
-    max_antecedent: int
-    min_antecedent: int
-    star_prob: float              # SDM members/succedents only
-    bottom_prob: float
-    related_succedent_prob: float  # bias toward derivable goals
+class CorpusConfig(namedtuple("CorpusConfig", (
+        "seed max_depth variables max_antecedent min_antecedent star_prob "
+        "bottom_prob related_succedent_prob"))):
+    """A named tuple of generator settings.
 
-
-class CorpusConfig(_CorpusFields):
-    """A named tuple of generator settings; the constructor caps max_depth."""
+    max_depth is the grammar's recursion depth, which the constructor caps
+    at 5; star_prob applies to SDM members and succedents only; and
+    related_succedent_prob biases the corpus toward derivable goals.
+    """
 
     __slots__ = ()
 
@@ -45,7 +41,7 @@ class CorpusConfig(_CorpusFields):
                                    related_succedent_prob))
 
 
-def random_term(rng: random.Random, cfg: CorpusConfig, depth: Optional[int] = None,
+def random_term(rng: random.Random, cfg: CorpusConfig, depth: int | None = None,
                 imp: bool = False):
     """One random term; `imp` switches ~ for -> (the INT/CL language)."""
     if depth is None:
@@ -88,7 +84,7 @@ def random_sequent(rng: random.Random, cfg: CorpusConfig, calculus: str) -> Sequ
     return sequent(calculus, ants, succ)
 
 
-def _stream(calculus: str, cfg: CorpusConfig, max_weight: Optional[int],
+def _stream(calculus: str, cfg: CorpusConfig, max_weight: int | None,
             derivable: bool = False):
     """Endless seeded random sequents, rejection-filtered by weight when asked."""
     rng = random.Random(cfg.seed)
@@ -107,13 +103,13 @@ def _stream(calculus: str, cfg: CorpusConfig, max_weight: Optional[int],
 
 
 def generate_sequents(calculus: str, count: int, cfg: CorpusConfig,
-                      max_weight: Optional[int] = None) -> list:
+                      max_weight: int | None = None) -> list:
     """`count` random sequents, rejection-filtered by weight when asked."""
     return list(islice(_stream(calculus, cfg, max_weight), count))
 
 
 def derivable_corpus(calculus: str, count: int, cfg: CorpusConfig,
-                     max_weight: Optional[int] = None, engine=None,
+                     max_weight: int | None = None, engine=None,
                      term_succedent: bool = False) -> list:
     """`count` derivable sequents, found by rejection sampling."""
     from .search import default_engine

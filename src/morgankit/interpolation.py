@@ -31,8 +31,7 @@ vocabulary.  Interpolants are not simplified afterwards.
 
 from __future__ import annotations
 
-from collections import Counter
-from typing import NamedTuple, Optional
+from collections import Counter, namedtuple
 
 from .calculi import STAR_FAMILY, star_family_used
 from .search import (
@@ -50,20 +49,19 @@ class PartitionMismatchError(ValueError):
     """The partition does not split the goal's antecedent."""
 
 
-class Partition(NamedTuple):
+class Partition(namedtuple("Partition", "left right")):
     """left and right antecedent parts; the succedent rides on the right."""
-    left: tuple
-    right: tuple
+
+    __slots__ = ()
 
     @staticmethod
     def of(left, right) -> "Partition":
         return Partition(tuple(left), tuple(right))
 
 
-class InterpolationResult(NamedTuple):
-    interpolant: object            # Struct for SDM, Term for DM
-    left_derivation: Derivation
-    right_derivation: Derivation
+# The interpolant is a Struct for SDM and a Term for DM.
+InterpolationResult = namedtuple(
+    "InterpolationResult", "interpolant left_derivation right_derivation")
 
 
 def _sides_for(goal: Sequent, part: Partition) -> Counter:
@@ -180,7 +178,7 @@ def _obligations(calculus: str, goal: Sequent, part: Partition, candidate):
 
 
 def interpolate(calculus: str, d: Derivation, part: Partition,
-                engine: Optional[SearchEngine] = None) -> InterpolationResult:
+                engine: SearchEngine | None = None) -> InterpolationResult:
     """Extract an interpolant for the partition and derive both obligations."""
     calculus = normalize_calculus(calculus)
     if calculus not in (SDM, DM):
@@ -199,7 +197,7 @@ def interpolate(calculus: str, d: Derivation, part: Partition,
 
 
 def verify_interpolant(calculus: str, goal: Sequent, part: Partition, candidate,
-                       engine: Optional[SearchEngine] = None) -> bool:
+                       engine: SearchEngine | None = None) -> bool:
     """Check conditions (i)-(iii): both obligations derivable, shared vocabulary."""
     calculus = normalize_calculus(calculus)
     try:   # a partition of another goal, or a candidate outside the language

@@ -66,7 +66,7 @@ query keeps its table, per (sequent, bound), for that call alone.
 from __future__ import annotations
 
 import re
-from typing import NamedTuple, Optional
+from collections import namedtuple
 
 from .calculi import (
     CalculusMismatchError, RuleInstance, invertible,
@@ -100,7 +100,7 @@ def normalize_calculus(name: str) -> str:
         raise ValueError(f"unknown calculus {name!r}") from None
 
 
-class Derivation(NamedTuple):
+class Derivation(namedtuple("Derivation", "sequent rule principal children height")):
     """A finite tree of rule applications.
 
     height is 0 exactly at axioms and 1 + max child height elsewhere;
@@ -108,11 +108,7 @@ class Derivation(NamedTuple):
     children's sequents (check_derivation verifies both).
     """
 
-    sequent: Sequent
-    rule: str
-    principal: Optional[int]
-    children: tuple
-    height: int
+    __slots__ = ()
 
     def __repr__(self):
         return f"<Derivation {self.rule} h={self.height} {print_sequent(self.sequent)}>"
@@ -145,7 +141,7 @@ class SearchEngine:
 
     # -- unbounded search ------------------------------------------------
 
-    def derive(self, calculus: str, goal: Sequent) -> Optional[Derivation]:
+    def derive(self, calculus: str, goal: Sequent) -> Derivation | None:
         """A derivation of the goal, or None when exhaustive search refutes it."""
         if _checked(calculus, goal) in (SDM, DM):
             return self._derive(goal, None, None)
@@ -154,8 +150,8 @@ class SearchEngine:
     def derivable(self, calculus: str, goal: Sequent) -> bool:
         return self.derive(calculus, goal) is not None
 
-    def _derive(self, goal: Sequent, path: Optional[dict],
-                tt: Optional["_TruthTables"]):
+    def _derive(self, goal: Sequent, path: dict | None,
+                tt: _TruthTables | None):
         """A derivation, None when search fails in every context, or an int.
 
         ``path`` maps the set forms of the goal's ancestors to their depths,
@@ -242,7 +238,7 @@ class SearchEngine:
         return _bd(goal, n, _TruthTables(goal), {}) if n >= 0 else None
 
 
-def _bd(goal: Sequent, n: int, tt: "_TruthTables", memo: dict) -> Optional[Derivation]:
+def _bd(goal: Sequent, n: int, tt: "_TruthTables", memo: dict) -> Derivation | None:
     """The first derivation of height at most n, in instance order."""
     key = (goal, n)
     hit = memo.get(key, _BIG)
@@ -300,7 +296,7 @@ def _identity(goal: Sequent) -> Derivation:
 
 
 def _g3ip_instance(goal: Sequent, label: str, principal) -> RuleInstance:
-    for inst in iter_g3ip(goal, goal.calculus == CL):
+    for inst in iter_g3ip(goal):
         if inst.label == label and inst.principal == principal:
             return inst
     raise AssertionError(f"no {label} instance with principal {principal}")
@@ -409,20 +405,20 @@ def reset_default_engine():
     _default_engine.reset()
 
 
-def derive(calculus: str, goal: Sequent, engine: Optional[SearchEngine] = None):
+def derive(calculus: str, goal: Sequent, engine: SearchEngine | None = None):
     return (engine or _default_engine).derive(calculus, goal)
 
 
-def derivable(calculus: str, goal: Sequent, engine: Optional[SearchEngine] = None):
+def derivable(calculus: str, goal: Sequent, engine: SearchEngine | None = None):
     return (engine or _default_engine).derivable(calculus, goal)
 
 
 def derivable_within_height(calculus: str, goal: Sequent, n: int,
-                            engine: Optional[SearchEngine] = None):
+                            engine: SearchEngine | None = None):
     return (engine or _default_engine).derivable_within_height(calculus, goal, n)
 
 
-def min_height(calculus: str, goal: Sequent, engine: Optional[SearchEngine] = None):
+def min_height(calculus: str, goal: Sequent, engine: SearchEngine | None = None):
     return (engine or _default_engine).min_height(calculus, goal)
 
 
@@ -439,7 +435,7 @@ def check_derivation_report(calculus: str, d: Derivation):
     return (bad is None), ("derivation" + bad if bad else "ok")
 
 
-def _first_bad(node: Derivation, checked: set) -> Optional[str]:
+def _first_bad(node: Derivation, checked: set) -> str | None:
     """The diagnostic of the first node below ``node`` that fails replay,
     starting with that node's path relative to ``node``.
 

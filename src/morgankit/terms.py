@@ -27,8 +27,8 @@ from __future__ import annotations
 
 import _thread
 import weakref
+from collections.abc import Iterable
 from operator import attrgetter
-from typing import Iterable, Union
 
 # Variable namespaces.  Base variables come from user input; the other three
 # are reserved for translation output ("p'", "p''", "#k0", ...), which keeps
@@ -258,8 +258,6 @@ def starred(t: Term) -> Struct:
     return Struct(True, t)
 
 
-Member = Union[Term, Struct]
-
 _BY_KEY = attrgetter("_key")
 
 
@@ -274,7 +272,7 @@ class Sequent:
 
     __slots__ = ("calculus", "antecedent", "succedent", "_h")
 
-    def __init__(self, calculus: str, antecedent: Iterable[Member], succedent: Member):
+    def __init__(self, calculus: str, antecedent: Iterable, succedent):
         ants = sorted(antecedent, key=_BY_KEY)
         self.calculus = calculus
         self.antecedent = tuple(ants)
@@ -306,7 +304,7 @@ class Sequent:
         return f"<Sequent {self.calculus}: {print_sequent(self)}>"
 
 
-def sequent(calculus: str, antecedent: Iterable[Member], succedent: Member) -> Sequent:
+def sequent(calculus: str, antecedent: Iterable, succedent) -> Sequent:
     """Build a sequent in canonical form, validating member shapes."""
     if calculus not in CALCULI:
         raise ValueError(f"unknown calculus {calculus!r}")

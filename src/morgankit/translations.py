@@ -10,7 +10,6 @@ listing counterexamples verbatim.
 from __future__ import annotations
 
 from collections import namedtuple
-from typing import Optional
 
 from .algebras import _assignments, enumerate_algebras, evaluate
 from .search import SearchEngine, default_engine
@@ -89,7 +88,7 @@ class ClassRegistry:
     write from two threads at once.
     """
 
-    def __init__(self, engine: Optional[SearchEngine] = None):
+    def __init__(self, engine: SearchEngine | None = None):
         self.engine = engine or default_engine()
         self.entries: list = []            # (representative, Var) in insertion order
         self._by_term: dict = {}
@@ -253,7 +252,7 @@ TRANSLATIONS = {
 }
 
 
-def translate(name: str, x, registry: Optional[ClassRegistry] = None):
+def translate(name: str, x, registry: ClassRegistry | None = None):
     """The image of a term (a structure, for t) or a sequent under one map;
     a sequent must be of the map's source calculus.  Only k reads the
     registry: it names its class atoms there.
@@ -292,7 +291,7 @@ class EmbeddingReport:
                  "variant_total", "variant_agreements")
 
     def __init__(self, kind: str, total: int = 0, agreements: int = 0,
-                 counterexamples: Optional[list] = None,
+                 counterexamples: list | None = None,
                  variant_total: int = 0, variant_agreements: int = 0):
         self.kind = kind
         self.total = total
@@ -328,8 +327,8 @@ class EmbeddingReport:
             self.counterexamples.append((print_sequent(s), source, target))
 
 
-def check_embedding(kind: str, corpus, engine: Optional[SearchEngine] = None,
-                    registry: Optional[ClassRegistry] = None) -> EmbeddingReport:
+def check_embedding(kind: str, corpus, engine: SearchEngine | None = None,
+                    registry: ClassRegistry | None = None) -> EmbeddingReport:
     """Agreement report between a source calculus and its translated image."""
     if kind not in EMBEDDING_KINDS:
         raise ValueError(f"unknown embedding kind {kind!r}")

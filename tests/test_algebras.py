@@ -71,6 +71,15 @@ def test_reference_checks_reject():
     assert check_variety(chain, "sdm") and not check_variety(chain, "dm")
     flat = FiniteAlgebra(2, BOOL2.join, BOOL2.meet, (0, 0))
     assert not check_variety(flat, "sdm") and not check_variety(flat, "dm")
+    # bounds and order pairs outside the carrier; -1 is read as the top first
+    for bad in ({"zero": 9}, {"zero": -4}, {"one": 4}, {"one": -2}):
+        with pytest.raises(ValueError, match="zero or one outside the carrier"):
+            FiniteAlgebra.from_obj({**dm4().to_obj(), **bad})
+    with pytest.raises(ValueError, match="zero or one outside the carrier"):
+        FiniteAlgebra(4, dm4().join, dm4().meet, dm4().neg, one=5)
+    assert FiniteAlgebra(4, dm4().join, dm4().meet, dm4().neg, one=-1) == dm4()
+    with pytest.raises(ValueError, match="order pair outside the carrier"):
+        FiniteAlgebra.from_obj({**dm4().to_obj(), "order": dm4().order_pairs() + [[0, 7]]})
 
 
 def test_evaluate_pins():

@@ -87,7 +87,7 @@ def test_g3ip_bottom_axiom():
 
 def test_gem_at_instances():
     goal = parse_sequent("=> p | ~p", "cl")
-    gems = [i for i in expand_g3ip(goal, classical=True) if i.label == "Gem-at"]
+    gems = [i for i in expand_g3ip(goal) if i.label == "Gem-at"]
     assert len(gems) == 1
     assert gems[0].premisses == (
         parse_sequent("p => p | ~p", "cl"),
@@ -100,7 +100,7 @@ def test_calculus_tag_checked():
     with pytest.raises(CalculusMismatchError):
         expand_g3sdm(parse_sequent("p => p", "dm"))
     with pytest.raises(CalculusMismatchError):
-        expand_g3ip(parse_sequent("p => p", "int"), classical=True)
+        expand_g3ip(parse_sequent("p => p", "dm"))
 
 
 def test_occurrence_completeness():

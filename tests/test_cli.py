@@ -467,10 +467,11 @@ def test_import_loads_no_dataclasses_inspect_or_json():
     assert r.stdout.strip() == ""
 
 
-def test_import_loads_no_threading():
-    # -S: no site hook preloads threading, so the import alone is measured
+@pytest.mark.parametrize("module", ["threading", "typing"])
+def test_import_loads_no_threading(module):
+    # -S: no site hook preloads the module, so the import alone is measured
     code = ("import sys; before = set(sys.modules); import morgankit; "
-            "print('threading' in set(sys.modules) - before)")
+            f"print({module!r} in set(sys.modules) - before)")
     env = dict(os.environ)
     env["PYTHONPATH"] = SRC + os.pathsep + env.get("PYTHONPATH", "")
     r = subprocess.run([sys.executable, "-S", "-c", code],
