@@ -9,8 +9,7 @@ semantic oracle.
 from .terms import (
     BASE, BOT, CL, CLASS, DM, DOUBLED, INT, PRIMED, SDM, TOP_ALG, TOP_IMP,
     And, Imp, Neg, Or, Sequent, Struct, Term, Var,
-    canonical_form, complexity, dm_weight, plain, sdm_weight, sequent,
-    starred, variables,
+    complexity, dm_weight, plain, sdm_weight, sequent, starred, variables,
 )
 from .syntax import (
     NamespaceError, ParseError,
@@ -18,15 +17,12 @@ from .syntax import (
     print_sequent, print_structure, print_term,
     sequent_from_obj, sequent_to_obj, term_from_obj, term_to_obj,
 )
-from .calculi import (
-    CalculusMismatchError, RuleInstance,
-    expand, expand_g3dm, expand_g3ip, expand_g3sdm,
-)
+from .calculi import CalculusMismatchError, RuleInstance, expand
 from .search import (
     Derivation, InvalidDerivationError, SearchEngine,
     check_derivation, check_derivation_report, default_engine, derivable,
     derivable_within_height, derive, min_height, normalize_calculus,
-    proof_from_obj, proof_to_obj, render, reset_default_engine,
+    proof_from_obj, proof_to_obj, render,
 )
 from .interpolation import (
     InterpolationResult, Partition, PartitionMismatchError,

@@ -1,10 +1,10 @@
 """Backward rule expansion for G3SDM, G3DM, G3ip, and G3ip + Gem-at.
 
-Each ``expand_*`` function takes a goal sequent and enumerates every rule
-instance whose conclusion is that goal: zero-premiss axiom instances plus one
-instance per applicable (rule, principal occurrence) pair.  Left rules are
-instantiated per occurrence, not per distinct member; the calculi are
-contraction-free, so duplicated antecedent members matter.
+``expand(goal)`` enumerates every rule instance whose conclusion is the goal,
+from the table that the goal's calculus tag picks: zero-premiss axiom
+instances plus one instance per applicable (rule, principal occurrence)
+pair.  Left rules are instantiated per occurrence, not per distinct member;
+the calculi are contraction-free, so duplicated antecedent members matter.
 
 ``principal`` is the index of the principal occurrence in the (canonically
 sorted) antecedent, ``-1`` when the succedent is principal, and ``None`` for
@@ -282,7 +282,11 @@ def iter_g3dm(goal: Sequent) -> Iterator[RuleInstance]:
 
 
 def iter_g3ip(goal: Sequent) -> Iterator[RuleInstance]:
-    """G3ip instances for an INT goal; G3ip+Gem-at instances for a CL goal."""
+    """G3ip instances for an INT goal; G3ip+Gem-at instances for a CL goal.
+
+    Gem-at is instantiated only at variables occurring in the goal: fresh
+    variables can never help close a branch.
+    """
     if goal.calculus not in (INT, CL):
         raise CalculusMismatchError(f"expected an INT or CL goal, got {goal.calculus}")
     ants = goal.antecedent
@@ -332,25 +336,6 @@ def iter_g3ip(goal: Sequent) -> Iterator[RuleInstance]:
                  Sequent(CL, ants + (Imp(v, BOT),), succ)), None)
 
 
-def expand_g3sdm(goal: Sequent) -> list:
-    """All G3SDM rule instances whose conclusion is the goal."""
-    return list(iter_g3sdm(goal))
-
-
-def expand_g3dm(goal: Sequent) -> list:
-    """All G3DM rule instances whose conclusion is the goal."""
-    return list(iter_g3dm(goal))
-
-
-def expand_g3ip(goal: Sequent) -> list:
-    """All G3ip instances; for a CL goal, Gem-at instances as well.
-
-    Gem-at is instantiated only at variables occurring in the goal: fresh
-    variables can never help close a branch.
-    """
-    return list(iter_g3ip(goal))
-
-
 def iter_instances(goal: Sequent) -> Iterator[RuleInstance]:
     """Dispatch on the goal's calculus tag."""
     if goal.calculus == SDM:
@@ -361,4 +346,5 @@ def iter_instances(goal: Sequent) -> Iterator[RuleInstance]:
 
 
 def expand(goal: Sequent) -> list:
+    """All rule instances whose conclusion is the goal."""
     return list(iter_instances(goal))

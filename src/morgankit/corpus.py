@@ -7,7 +7,6 @@ seeds, so corpora are reproducible byte-for-byte on a fixed version.
 
 from __future__ import annotations
 
-import random
 from collections import namedtuple
 from itertools import islice
 
@@ -17,28 +16,30 @@ from .terms import (
     dm_weight, plain, sdm_weight, sequent, starred,
 )
 
+#: Chance that a leaf is F rather than a variable.
+BOTTOM_PROB = 0.08
+#: Chance that a sequent reuses an antecedent member as its succedent, which
+#: biases the corpus toward derivable goals.
+RELATED_SUCCEDENT_PROB = 0.45
+
 
 class CorpusConfig(namedtuple("CorpusConfig", (
-        "seed max_depth variables max_antecedent min_antecedent star_prob "
-        "bottom_prob related_succedent_prob"))):
+        "seed max_depth variables max_antecedent min_antecedent star_prob"))):
     """A named tuple of generator settings.
 
     max_depth is the grammar's recursion depth, which the constructor caps
-    at 5; star_prob applies to SDM members and succedents only; and
-    related_succedent_prob biases the corpus toward derivable goals.
+    at 5, and star_prob applies to SDM members and succedents only.
     """
 
     __slots__ = ()
 
     def __new__(cls, seed: int = 0, max_depth: int = 3,
                 variables: tuple = ("p", "q", "r"), max_antecedent: int = 4,
-                min_antecedent: int = 0, star_prob: float = 0.35,
-                bottom_prob: float = 0.08, related_succedent_prob: float = 0.45):
+                min_antecedent: int = 0, star_prob: float = 0.35):
         if max_depth > 5:
             raise ValueError("max_depth is capped at 5")
         return tuple.__new__(cls, (seed, max_depth, variables, max_antecedent,
-                                   min_antecedent, star_prob, bottom_prob,
-                                   related_succedent_prob))
+                                   min_antecedent, star_prob))
 
 
 def random_term(rng: random.Random, cfg: CorpusConfig, depth: int | None = None,
@@ -47,7 +48,7 @@ def random_term(rng: random.Random, cfg: CorpusConfig, depth: int | None = None,
     if depth is None:
         depth = cfg.max_depth
     if depth <= 0 or rng.random() < 0.25:
-        if rng.random() < cfg.bottom_prob:
+        if rng.random() < BOTTOM_PROB:
             return BOT
         return Var(rng.choice(cfg.variables))
     r = rng.random()
@@ -73,7 +74,7 @@ def _random_member(rng, cfg, calculus):
 def random_sequent(rng: random.Random, cfg: CorpusConfig, calculus: str) -> Sequent:
     n = rng.randint(cfg.min_antecedent, cfg.max_antecedent)
     ants = [_random_member(rng, cfg, calculus) for _ in range(n)]
-    if ants and rng.random() < cfg.related_succedent_prob:
+    if ants and rng.random() < RELATED_SUCCEDENT_PROB:
         # reuse an antecedent member so identity-like goals are common
         pick = rng.choice(ants)
         succ = pick
@@ -87,6 +88,7 @@ def random_sequent(rng: random.Random, cfg: CorpusConfig, calculus: str) -> Sequ
 def _stream(calculus: str, cfg: CorpusConfig, max_weight: int | None,
             derivable: bool = False):
     """Endless seeded random sequents, rejection-filtered by weight when asked."""
+    import random  # here only: importing morgankit should not load random
     rng = random.Random(cfg.seed)
     weigh = sdm_weight if calculus == SDM else dm_weight if calculus == DM else None
     # every member weighs at least 1, so p, ..., p => p is the lightest goal;

@@ -401,10 +401,6 @@ def default_engine() -> SearchEngine:
     return _default_engine
 
 
-def reset_default_engine():
-    _default_engine.reset()
-
-
 def derive(calculus: str, goal: Sequent, engine: SearchEngine | None = None):
     return (engine or _default_engine).derive(calculus, goal)
 

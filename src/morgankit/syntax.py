@@ -440,6 +440,9 @@ def sequent_from_obj(obj: dict) -> Sequent:
     if obj.get("schema", AST_SCHEMA) != AST_SCHEMA:
         raise ValueError(f"unsupported AST schema {obj.get('schema')!r}")
     calc = obj["calculus"]
-    ants = [member_from_obj(m, calc) for m in obj["antecedent"]]
+    ants = obj["antecedent"]
+    if not isinstance(ants, list):
+        raise ValueError(f"key 'antecedent' holds a {type(ants).__name__}, not a list")
+    ants = [member_from_obj(m, calc) for m in ants]
     succ = member_from_obj(obj["succedent"], calc)
     return sequent(calc, ants, succ)

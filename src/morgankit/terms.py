@@ -325,11 +325,6 @@ def sequent(calculus: str, antecedent: Iterable, succedent) -> Sequent:
     return Sequent(calculus, ants, succedent)
 
 
-def canonical_form(s: Sequent) -> Sequent:
-    """Identity on already-canonical sequents; re-sorts the antecedent."""
-    return Sequent(s.calculus, s.antecedent, s.succedent)
-
-
 def _avoids(t: Term, connective) -> bool:
     """True iff the term t has no node of type connective: Imp for the
     SDM/DM language, Neg for the INT/CL one.  TypeError if t is not a term."""

@@ -281,35 +281,17 @@ EMBEDDING_KINDS = {kind: TRANSLATIONS[(chains[0] + chains[1])[0]].source
                    for kind, chains in _EMBEDDINGS.items()}
 
 
-class EmbeddingReport:
+class EmbeddingReport(namedtuple("EmbeddingReport", (
+        "kind total agreements counterexamples variant_total variant_agreements"))):
     """Agreement counts of one embedding kind, with its counterexamples.
 
-    Mutable; equal to another report with the same fields, and unhashable.
+    counterexamples holds (printed sequent, source verdict, target verdict)
+    triples.  variant_total and variant_agreements count, for
+    dm-glivenko-sdm only, how often the single-negation succedent variant
+    agrees with the source; they are reported, not gated.
     """
 
-    __slots__ = ("kind", "total", "agreements", "counterexamples",
-                 "variant_total", "variant_agreements")
-
-    def __init__(self, kind: str, total: int = 0, agreements: int = 0,
-                 counterexamples: list | None = None,
-                 variant_total: int = 0, variant_agreements: int = 0):
-        self.kind = kind
-        self.total = total
-        self.agreements = agreements
-        self.counterexamples = [] if counterexamples is None else counterexamples
-        # dm-glivenko-sdm only: how often the single-negation succedent
-        # variant agrees with the source; reported, not gated.
-        self.variant_total = variant_total
-        self.variant_agreements = variant_agreements
-
-    def __eq__(self, other):  # defining __eq__ alone leaves the class unhashable
-        if type(other) is not EmbeddingReport:
-            return NotImplemented
-        return all(getattr(self, name) == getattr(other, name) for name in self.__slots__)
-
-    def __repr__(self):
-        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
-        return f"EmbeddingReport({fields})"
+    __slots__ = ()
 
     @property
     def agreement_rate(self) -> float:
@@ -319,13 +301,6 @@ class EmbeddingReport:
     def variant_rate(self) -> float:
         return self.variant_agreements / self.variant_total if self.variant_total else 1.0
 
-    def record(self, s: Sequent, source: bool, target: bool):
-        self.total += 1
-        if source == target:
-            self.agreements += 1
-        else:
-            self.counterexamples.append((print_sequent(s), source, target))
-
 
 def check_embedding(kind: str, corpus, engine: SearchEngine | None = None,
                     registry: ClassRegistry | None = None) -> EmbeddingReport:
@@ -333,10 +308,11 @@ def check_embedding(kind: str, corpus, engine: SearchEngine | None = None,
     if kind not in EMBEDDING_KINDS:
         raise ValueError(f"unknown embedding kind {kind!r}")
     eng = engine or default_engine()
-    report = EmbeddingReport(kind)
     if registry is None:
         registry = ClassRegistry(eng)    # one registry per invocation
     source = EMBEDDING_KINDS[kind]
+    total = agreements = variant_total = variant_agreements = 0
+    counterexamples = []
     for s in corpus:
         if s.calculus != source:
             raise ValueError(f"corpus sequent tagged {s.calculus}, expected {source}")
@@ -350,8 +326,13 @@ def check_embedding(kind: str, corpus, engine: SearchEngine | None = None,
             verdicts.append(eng.derivable(goal.calculus, goal))
         if kind == "dm-glivenko-sdm":
             printed = sequent(SDM, double_negate(s.antecedent), Neg(s.succedent))
-            report.variant_total += 1
+            variant_total += 1
             if verdicts[0] == eng.derivable(SDM, printed):
-                report.variant_agreements += 1
-        report.record(s, *verdicts)
-    return report
+                variant_agreements += 1
+        total += 1
+        if verdicts[0] == verdicts[1]:
+            agreements += 1
+        else:
+            counterexamples.append((print_sequent(s), *verdicts))
+    return EmbeddingReport(kind, total, agreements, tuple(counterexamples),
+                           variant_total, variant_agreements)

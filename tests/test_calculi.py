@@ -2,9 +2,9 @@ import pytest
 
 from morgankit import (
     BOT, CalculusMismatchError, Or, Var,
-    dm_weight, expand, expand_g3dm, expand_g3ip, expand_g3sdm,
-    parse_sequent, plain, sdm_weight, sequent, starred,
+    dm_weight, expand, parse_sequent, plain, sdm_weight, sequent, starred,
 )
+from morgankit.calculi import iter_g3ip, iter_g3sdm
 from morgankit.corpus import CorpusConfig, generate_sequents
 
 p, q, r = Var("p"), Var("q"), Var("r")
@@ -15,34 +15,34 @@ def _labels(instances):
 
 
 def test_g3sdm_axioms():
-    assert "Id" in _labels(expand_g3sdm(parse_sequent("p, q => p", "sdm")))
-    assert "Bot=>" in _labels(expand_g3sdm(parse_sequent("F, q => p", "sdm")))
-    assert "=>*Bot" in _labels(expand_g3sdm(parse_sequent("q => *F", "sdm")))
-    assert "*~Bot=>" in _labels(expand_g3sdm(parse_sequent("*~F => p", "sdm")))
-    assert not _labels(expand_g3sdm(parse_sequent("*p => q", "sdm")))
+    assert "Id" in _labels(expand(parse_sequent("p, q => p", "sdm")))
+    assert "Bot=>" in _labels(expand(parse_sequent("F, q => p", "sdm")))
+    assert "=>*Bot" in _labels(expand(parse_sequent("q => *F", "sdm")))
+    assert "*~Bot=>" in _labels(expand(parse_sequent("*~F => p", "sdm")))
+    assert not _labels(expand(parse_sequent("*p => q", "sdm")))
 
 
 def test_g3sdm_star_or_left():
     goal = parse_sequent("*(p | q) => r", "sdm")
-    (inst,) = [i for i in expand_g3sdm(goal) if i.label == "*|=>"]
+    (inst,) = [i for i in expand(goal) if i.label == "*|=>"]
     assert inst.premisses == (sequent("sdm", [starred(p), starred(q)], plain(r)),)
     assert inst.conclusion == goal
 
 
 def test_g3sdm_star_rule_discards_context():
     goal = parse_sequent("*q, r => *p", "sdm")
-    (inst,) = [i for i in expand_g3sdm(goal) if i.label == "*"]
+    (inst,) = [i for i in expand(goal) if i.label == "*"]
     assert inst.premisses == (sequent("sdm", [plain(p)], plain(q)),)
 
 
 def test_g3sdm_star_rule_needs_starred_succedent():
-    assert "*" not in _labels(expand_g3sdm(parse_sequent("*q, r => p", "sdm")))
+    assert "*" not in _labels(expand(parse_sequent("*q, r => p", "sdm")))
 
 
 def test_g3sdm_star_family_instances():
     goal = parse_sequent("*q, *r, p => *s", "sdm")
     s = Var("s")
-    got = [(i.label, i.principal, i.premisses) for i in expand_g3sdm(goal)
+    got = [(i.label, i.principal, i.premisses) for i in expand(goal)
            if i.label in ("*0", "*1", "*n")]
     # every subset of the starred occurrences (positions 1 and 2), full first
     assert got == [
@@ -52,29 +52,29 @@ def test_g3sdm_star_family_instances():
         ("*0", -1, (sequent("dm", [s], BOT),)),
     ]
     assert all(sdm_weight(pm) == 0 for _, _, (pm,) in got)
-    assert not _labels(expand_g3sdm(parse_sequent("*q => p", "sdm"))) & {"*0", "*1", "*n"}
+    assert not _labels(expand(parse_sequent("*q => p", "sdm"))) & {"*0", "*1", "*n"}
 
 
 def test_g3dm_axioms_and_rules():
-    assert "Id2" in _labels(expand_g3dm(parse_sequent("~p, q => ~p", "dm")))
+    assert "Id2" in _labels(expand(parse_sequent("~p, q => ~p", "dm")))
     goal = parse_sequent("~~p => p", "dm")
-    (inst,) = [i for i in expand_g3dm(goal) if i.label == "~~=>"]
+    (inst,) = [i for i in expand(goal) if i.label == "~~=>"]
     assert inst.premisses == (parse_sequent("p => p", "dm"),)
     goal = parse_sequent("~(p | q) => r", "dm")
-    (inst,) = [i for i in expand_g3dm(goal) if i.label == "~|=>"]
+    (inst,) = [i for i in expand(goal) if i.label == "~|=>"]
     assert inst.premisses == (parse_sequent("~p, ~q => r", "dm"),)
 
 
 def test_g3dm_neg_and_right_projections():
     goal = parse_sequent("=> ~(p & q)", "dm")
-    got = {i.label: i.premisses for i in expand_g3dm(goal)}
+    got = {i.label: i.premisses for i in expand(goal)}
     assert got["=>~&1"] == (parse_sequent("=> ~p", "dm"),)
     assert got["=>~&2"] == (parse_sequent("=> ~q", "dm"),)
 
 
 def test_g3ip_imp_left_keeps_principal():
     goal = parse_sequent("p -> q, p => q", "int")
-    (inst,) = [i for i in expand_g3ip(goal) if i.label == "->L"]
+    (inst,) = [i for i in expand(goal) if i.label == "->L"]
     assert inst.premisses == (
         parse_sequent("p -> q, p => p", "int"),
         parse_sequent("q, p => q", "int"),
@@ -82,34 +82,34 @@ def test_g3ip_imp_left_keeps_principal():
 
 
 def test_g3ip_bottom_axiom():
-    assert "BotL" in _labels(expand_g3ip(parse_sequent("F => q", "int")))
+    assert "BotL" in _labels(expand(parse_sequent("F => q", "int")))
 
 
 def test_gem_at_instances():
     goal = parse_sequent("=> p | ~p", "cl")
-    gems = [i for i in expand_g3ip(goal) if i.label == "Gem-at"]
+    gems = [i for i in expand(goal) if i.label == "Gem-at"]
     assert len(gems) == 1
     assert gems[0].premisses == (
         parse_sequent("p => p | ~p", "cl"),
         parse_sequent("~p => p | ~p", "cl"),
     )
-    assert "Gem-at" not in _labels(expand_g3ip(parse_sequent("=> p | ~p", "int")))
+    assert "Gem-at" not in _labels(expand(parse_sequent("=> p | ~p", "int")))
 
 
 def test_calculus_tag_checked():
     with pytest.raises(CalculusMismatchError):
-        expand_g3sdm(parse_sequent("p => p", "dm"))
+        list(iter_g3sdm(parse_sequent("p => p", "dm")))
     with pytest.raises(CalculusMismatchError):
-        expand_g3ip(parse_sequent("p => p", "dm"))
+        list(iter_g3ip(parse_sequent("p => p", "dm")))
 
 
 def test_occurrence_completeness():
     goal = parse_sequent("p & q, p & q, r => r", "sdm")
-    insts = [i for i in expand_g3sdm(goal) if i.label == "&=>"]
+    insts = [i for i in expand(goal) if i.label == "&=>"]
     assert len(insts) == 2
     assert len({i.principal for i in insts}) == 2
     goal = parse_sequent("p -> q, p -> q => q", "int")
-    assert len([i for i in expand_g3ip(goal) if i.label == "->L"]) == 2
+    assert len([i for i in expand(goal) if i.label == "->L"]) == 2
 
 
 def _goals(calculus, count, seed, max_weight=None):
@@ -146,8 +146,8 @@ def test_conclusion_fidelity_all_calculi():
 def test_rule_instance_record():
     from morgankit import RuleInstance
     goal = parse_sequent("p & q => p", "sdm")
-    (inst,) = expand_g3sdm(goal)
-    (twin,) = expand_g3sdm(parse_sequent("p & q => p", "sdm"))
+    (inst,) = expand(goal)
+    (twin,) = expand(parse_sequent("p & q => p", "sdm"))
     assert inst is not twin and inst == twin and hash(inst) == hash(twin)
     assert inst == RuleInstance("&=>", goal, inst.premisses, 0)
     assert inst != RuleInstance("&=>", goal, inst.premisses, -1)

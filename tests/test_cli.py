@@ -105,6 +105,15 @@ def test_render_names_the_node_of_a_bad_sequent():
         assert "Traceback" not in r.stderr
 
 
+def test_render_rejects_an_antecedent_that_is_not_a_list():
+    obj = json.loads(run_cli("prove", "--calculus", "g3dm", "=> ~F", "--format", "json").stdout)
+    obj["derivation"]["sequent"]["antecedent"] = {}
+    r = run_cli("render", stdin=json.dumps(obj))
+    assert r.returncode == 2
+    assert "derivation.sequent: key 'antecedent' holds a dict, not a list" in r.stderr
+    assert "Traceback" not in r.stderr
+
+
 def test_batch_mode_jsonl():
     r = run_cli("decide", "--calculus", "g3dm", "--batch",
                 stdin="~~p => p\np => q\nbad (\n")
@@ -467,7 +476,7 @@ def test_import_loads_no_dataclasses_inspect_or_json():
     assert r.stdout.strip() == ""
 
 
-@pytest.mark.parametrize("module", ["threading", "typing"])
+@pytest.mark.parametrize("module", ["threading", "typing", "random"])
 def test_import_loads_no_threading(module):
     # -S: no site hook preloads the module, so the import alone is measured
     code = ("import sys; before = set(sys.modules); import morgankit; "

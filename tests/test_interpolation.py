@@ -4,7 +4,7 @@ import pytest
 
 from morgankit import (
     BOT, Derivation, Neg, Or, SearchEngine, Var,
-    all_partitions, check_derivation, derive, expand_g3sdm, interpolate,
+    all_partitions, check_derivation, derive, expand, interpolate,
     parse_partition, parse_sequent, plain, print_sequent, print_structure,
     sequent, starred, t_flatten, verify_interpolant, Partition,
     PartitionMismatchError,
@@ -29,7 +29,7 @@ def test_star_rule_partitions():
     # derivation is built by hand: ``*`` over the SDM axiom p => p
     s = parse_sequent("*p => *p", "sdm")
     assert derive("sdm", s).rule == "*1"
-    (star,) = [i for i in expand_g3sdm(s) if i.label == "*"]
+    (star,) = [i for i in expand(s) if i.label == "*"]
     (premiss,) = star.premisses
     axiom = Derivation(premiss, "Id", None, (), 0)
     d = Derivation(s, "*", star.principal, (axiom,), 1)

@@ -10,7 +10,7 @@ import pytest
 from morgankit import (
     And, CalculusMismatchError, ClassRegistry, Derivation, Imp,
     InvalidDerivationError, Neg, Or, Partition, SearchEngine, Var,
-    check_derivation, check_derivation_report, derivable,
+    check_derivation, check_derivation_report, check_embedding, derivable,
     derivable_within_height, derive, dm4, expand, interpolate, k_sequent,
     min_height, parse_sequent, plain, print_sequent, proof_from_obj,
     proof_to_obj, render, sequent, starred, variables,
@@ -666,13 +666,12 @@ def test_derivation_record():
 
 def test_corpus_config_record():
     cfg = CorpusConfig()
-    assert cfg == CorpusConfig(0, 3, ("p", "q", "r"), 4, 0, 0.35, 0.08, 0.45)
+    assert cfg == CorpusConfig(0, 3, ("p", "q", "r"), 4, 0, 0.35)
     assert hash(cfg) == hash(CorpusConfig(seed=0))
     assert cfg != CorpusConfig(seed=1)
     assert repr(cfg) == (
         "CorpusConfig(seed=0, max_depth=3, variables=('p', 'q', 'r'), "
-        "max_antecedent=4, min_antecedent=0, star_prob=0.35, bottom_prob=0.08, "
-        "related_succedent_prob=0.45)")
+        "max_antecedent=4, min_antecedent=0, star_prob=0.35)")
     assert CorpusConfig(max_depth=5).max_depth == 5
     with pytest.raises(ValueError, match="capped at 5"):
         CorpusConfig(max_depth=6)
@@ -736,8 +735,10 @@ def test_records_are_slotted_named_tuples():
          ("interpolant", "left_derivation", "right_derivation")),
         (dm4(), ("size", "join", "meet", "neg", "zero", "one")),
         (CorpusConfig(), ("seed", "max_depth", "variables", "max_antecedent",
-                          "min_antecedent", "star_prob", "bottom_prob",
-                          "related_succedent_prob")),
+                          "min_antecedent", "star_prob")),
+        (check_embedding("dm-to-cl-h", [goal]),
+         ("kind", "total", "agreements", "counterexamples", "variant_total",
+          "variant_agreements")),
     ]
     for record, fields in records:
         assert type(record)._fields == fields

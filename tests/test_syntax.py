@@ -9,7 +9,7 @@ from hypothesis import example, given, settings, strategies as st
 from morgankit import (
     BOT, And, Imp, Neg, Or, SearchEngine, Var,
     NamespaceError, ParseError,
-    canonical_form, check_derivation, complexity, dm_weight, parse_sequent,
+    check_derivation, complexity, dm_weight, parse_sequent,
     parse_term, plain, print_sequent, print_structure, print_term,
     proof_from_obj, proof_to_obj, sdm_weight, sequent, starred,
     sequent_from_obj, sequent_to_obj, term_from_obj, term_to_obj,
@@ -168,7 +168,6 @@ def _sdm_sequents(draw):
 
 @given(_sdm_sequents(), st.randoms())
 def test_canonical_form_idempotent_and_permutation_invariant(s, rng):
-    assert canonical_form(s) == s
     shuffled = list(s.antecedent)
     rng.shuffle(shuffled)
     assert sequent("sdm", shuffled, s.succedent) == s
@@ -224,6 +223,15 @@ def test_weight_monotone_under_weakening(s):
 def test_sequent_json_roundtrip(s):
     obj = json.loads(json.dumps(sequent_to_obj(s)))
     assert sequent_from_obj(obj) == s
+
+
+@pytest.mark.parametrize("antecedent", [{}, "", {"a": 1}, 5])
+def test_sequent_from_obj_requires_an_antecedent_list(antecedent):
+    obj = sequent_to_obj(parse_sequent("=> ~F", "dm"))
+    obj["antecedent"] = antecedent
+    kind = type(antecedent).__name__
+    with pytest.raises(ValueError, match=f"key 'antecedent' holds a {kind}, not a list"):
+        sequent_from_obj(obj)
 
 
 @given(_imp_terms())

@@ -268,18 +268,20 @@ def test_or_of_negations_is_a_dm_fact_not_an_sdm_one():
 
 
 def test_embedding_report_record():
-    from morgankit import EmbeddingReport
-    a, b = EmbeddingReport("diagram"), EmbeddingReport("diagram")
-    assert a == b and a.counterexamples is not b.counterexamples
-    a.record(parse_sequent("p => q", "dm"), True, False)
-    assert b.counterexamples == [] and a != b
-    assert (a.total, a.agreements, a.agreement_rate) == (1, 0, 0.0)
-    assert repr(a) == (
-        "EmbeddingReport(kind='diagram', total=1, agreements=0, "
-        "counterexamples=[('p => q', True, False)], variant_total=0, "
+    class NoClassicalProofs(SearchEngine):
+        # derives no CL goal, so each derivable DM source is a counterexample
+        def derivable(self, calculus, goal):
+            return calculus != "cl" and super().derivable(calculus, goal)
+
+    corpus = [parse_sequent("p => p", "dm"), parse_sequent("p => q", "dm")]
+    rep = check_embedding("dm-to-cl-h", corpus, engine=NoClassicalProofs())
+    assert rep == ("dm-to-cl-h", 2, 1, (("p => p", True, False),), 0, 0)
+    assert repr(rep) == (
+        "EmbeddingReport(kind='dm-to-cl-h', total=2, agreements=1, "
+        "counterexamples=(('p => p', True, False),), variant_total=0, "
         "variant_agreements=0)")
-    assert EmbeddingReport("x", 2, 1) == EmbeddingReport("x", total=2, agreements=1)
-    assert EmbeddingReport("x", 2, 1).agreement_rate == 0.5
-    assert EmbeddingReport("x").variant_rate == 1.0
-    with pytest.raises(TypeError):
-        hash(a)
+    assert (rep.agreement_rate, rep.variant_rate) == (0.5, 1.0)
+    with pytest.raises(AttributeError):
+        rep.total = 3
+    with pytest.raises(AttributeError):
+        rep.counterexamples.append(("p => q", False, True))
