@@ -31,6 +31,7 @@ from .terms import (
     And, Imp, Neg, Or, Sequent, Term, Var,
     t_flatten, variables,
 )
+from .syntax import _field
 
 ALGEBRA_SCHEMA = "morgan-kit/algebra/v1"
 
@@ -79,19 +80,24 @@ class FiniteAlgebra(namedtuple("FiniteAlgebra", "size join meet neg zero one")):
 
     @staticmethod
     def from_obj(obj: dict) -> "FiniteAlgebra":
-        if obj.get("schema", ALGEBRA_SCHEMA) != ALGEBRA_SCHEMA:
-            raise ValueError(f"unsupported algebra schema {obj.get('schema')!r}")
-        n = obj["size"]
+        schema = _field(obj, "schema", object, default=ALGEBRA_SCHEMA)
+        if schema != ALGEBRA_SCHEMA:
+            raise ValueError(f"unsupported algebra schema {schema!r}")
+        n = _field(obj, "size", int)
+        neg = _field(obj, "neg", list)  # checked before leq is allocated
+        if len(neg) != n or any(type(v) is not int for v in neg):
+            raise ValueError("negation table outside the carrier")
         leq = [[False] * n for _ in range(n)]
-        for a, b in obj["order"]:
-            if not (0 <= a < n and 0 <= b < n):
+        for pair in _field(obj, "order", list):
+            if not (isinstance(pair, (list, tuple)) and len(pair) == 2
+                    and all(type(v) is int and 0 <= v < n for v in pair)):
                 raise ValueError("order pair outside the carrier")
-            leq[a][b] = True
+            leq[pair[0]][pair[1]] = True
         join, meet = _tables_from_leq(n, leq)
         if join is None:
             raise ValueError("order is not a lattice")
-        return FiniteAlgebra(n, join, meet, tuple(obj["neg"]),
-                             obj.get("zero", 0), obj.get("one", n - 1))
+        return FiniteAlgebra(n, join, meet, tuple(neg), _field(obj, "zero", int, default=0),
+                             _field(obj, "one", int, default=n - 1))
 
 
 def _tables_from_leq(n, leq):

@@ -111,12 +111,9 @@ def generate_sequents(calculus: str, count: int, cfg: CorpusConfig,
 
 
 def derivable_corpus(calculus: str, count: int, cfg: CorpusConfig,
-                     max_weight: int | None = None, engine=None,
-                     term_succedent: bool = False) -> list:
+                     max_weight: int | None = None, engine=None) -> list:
     """`count` derivable sequents, found by rejection sampling."""
     from .search import default_engine
     eng = engine or default_engine()
-    skip_star = term_succedent and calculus == SDM
     return list(islice((s for s in _stream(calculus, cfg, max_weight, True)
-                        if not (skip_star and s.succedent.star)
-                        and eng.derivable(calculus, s)), count))
+                        if eng.derivable(calculus, s)), count))

@@ -72,7 +72,9 @@ from .calculi import (
     CalculusMismatchError, RuleInstance, invertible,
     iter_g3ip, iter_instances,
 )
-from .syntax import _LATEX, _sequent_text, print_sequent, sequent_from_obj, sequent_to_obj
+from .syntax import (
+    _LATEX, _field, _sequent_text, print_sequent, sequent_from_obj, sequent_to_obj,
+)
 from .terms import (
     CL, DM, INT, SDM, And, Imp, Or, Sequent, Var, variables,
 )
@@ -518,46 +520,31 @@ def proof_to_obj(d: Derivation) -> dict:
             "derivation": _node_to_obj(d)}
 
 
-def _field(x: dict, key: str, types, path: str):
-    if key not in x:
-        raise ValueError(f"{path}: missing key {key!r}")
-    v = x[key]
-    if isinstance(v, bool) or not isinstance(v, types):
-        raise ValueError(f"{path}: key {key!r} holds a {type(v).__name__}")
-    return v
-
-
 def proof_from_obj(obj: dict) -> Derivation:
     """Inverse of proof_to_obj; ValueError names a missing or ill-typed key."""
-    if not isinstance(obj, dict):
-        raise ValueError(f"a proof is a JSON object, not a {type(obj).__name__}")
-    if obj.get("schema") != PROOF_SCHEMA:
-        raise ValueError(f"unsupported proof schema {obj.get('schema')!r}")
-    d = _node_from_obj(_field(obj, "derivation", dict, "proof"), "derivation")
-    calculus = _field(obj, "calculus", str, "proof")
+    schema = _field(obj, "schema", object, path="proof")
+    if schema != PROOF_SCHEMA:
+        raise ValueError(f"unsupported proof schema {schema!r}")
+    d = _node_from_obj(_field(obj, "derivation", dict, path="proof"), "derivation")
+    calculus = _field(obj, "calculus", str, path="proof")
     if calculus != d.sequent.calculus:
         raise ValueError(f"proof: calculus {calculus!r}, but the root is {d.sequent.calculus}")
     return d
 
 
-def _node_from_obj(x, path: str) -> Derivation:
-    if not isinstance(x, dict):
-        raise ValueError(f"{path}: a node is an object, not a {type(x).__name__}")
-    obj = _field(x, "sequent", dict, path)
+def _node_from_obj(x: dict, path: str) -> Derivation:
+    obj = _field(x, "sequent", dict, path=path)
     try:
         seq = sequent_from_obj(obj)
     except ValueError as e:
         raise ValueError(f"{path}.sequent: {e}") from None
-    except (KeyError, TypeError, AttributeError) as e:
-        raise ValueError(f"{path}.sequent: malformed sequent ({e!r})") from None
-    premisses = _field(x, "premisses", list, path)
     return Derivation(
         seq,
-        _field(x, "rule", str, path),
-        _field(x, "principal", (int, type(None)), path),
+        _field(x, "rule", str, path=path),
+        _field(x, "principal", int, type(None), path=path),
         tuple(_node_from_obj(c, f"{path}.premisses[{i}]")
-              for i, c in enumerate(premisses)),
-        _field(x, "height", int, path),
+              for i, c in enumerate(_field(x, "premisses", list, path=path))),
+        _field(x, "height", int, path=path),
     )
 
 

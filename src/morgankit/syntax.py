@@ -354,21 +354,44 @@ def print_sequent(s: Sequent) -> str:
 
 # --- JSON AST encoding (morgan-kit/ast/v1) ------------------------------
 
+# The connectives by their op names, for the encoder and the decoder.
+_OPS = {"neg": Neg, "and": And, "or": Or, "imp": Imp}
+_OP_NAMES = {ctor: name for name, ctor in _OPS.items()}
+
+# The JSON kind of each type a key may be asked to hold, as messages name it.
+_KINDS = {dict: "an object", list: "a list", str: "a string", int: "an int",
+          bool: "true or false", type(None): "null"}
+
+
+def _field(obj, key: str, *types, default=None, path: str = ""):
+    """obj[key] of one of the JSON types (``object``: any; a bool is never an
+    int), or default if given and key is absent; else ValueError naming key."""
+    where = f"{path}: " if path else ""
+    if not isinstance(obj, dict):
+        raise ValueError(f"{where}a {type(obj).__name__} has no key {key!r}")
+    if key not in obj:
+        if default is None:
+            raise ValueError(f"{where}missing key {key!r}")
+        return default
+    v = obj[key]
+    if not isinstance(v, types) or (type(v) is bool and int in types):
+        kinds = " or ".join(_KINDS[t] for t in types)
+        raise ValueError(f"{where}key {key!r} holds a {type(v).__name__}, not {kinds}")
+    return v
+
+
 def term_to_obj(t: Term) -> dict:
     ty = type(t)
     if ty is Var:
         return {"op": "var", "name": t.name, "ns": t.ns}
-    if ty is Neg:
-        return {"op": "neg", "arg": term_to_obj(t.arg)}
-    if ty is And:
-        return {"op": "and", "left": term_to_obj(t.left), "right": term_to_obj(t.right)}
-    if ty is Or:
-        return {"op": "or", "left": term_to_obj(t.left), "right": term_to_obj(t.right)}
-    if ty is Imp:
-        return {"op": "imp", "left": term_to_obj(t.left), "right": term_to_obj(t.right)}
     if t is BOT:
         return {"op": "bot"}
-    raise TypeError(f"expected a term, not {t!r}")
+    op = _OP_NAMES.get(ty)
+    if op is None:
+        raise TypeError(f"expected a term, not {t!r}")
+    if ty is Neg:
+        return {"op": op, "arg": term_to_obj(t.arg)}
+    return {"op": op, "left": term_to_obj(t.left), "right": term_to_obj(t.right)}
 
 
 def term_from_obj(obj: dict) -> Term:
@@ -383,30 +406,28 @@ _VAR_NAMES = {BASE: _IDENT, PRIMED: _IDENT, DOUBLED: _IDENT,
               CLASS: re.compile(r"k[0-9]+")}
 
 
-def _var_from_obj(obj: dict) -> Var:
-    name, ns = obj["name"], obj.get("ns", BASE)
-    names = _VAR_NAMES.get(ns) if isinstance(ns, str) else None
-    if names is None:
-        raise ValueError(f"unknown namespace {ns!r}")
-    if (not isinstance(name, str) or not names.fullmatch(name)
-            or (ns == BASE and name in ("T", "F"))):
-        raise ValueError(f"malformed {ns} variable name {name!r}")
-    return Var(name, ns)
-
-
 def _term_from_obj(obj: dict, budget: int) -> Term:
-    op = obj["op"]
+    op = _field(obj, "op", str)
     if op == "var":
-        return _var_from_obj(obj)
+        name, ns = _field(obj, "name", object), _field(obj, "ns", object, default=BASE)
+        names = _VAR_NAMES.get(ns) if isinstance(ns, str) else None
+        if names is None:
+            raise ValueError(f"unknown namespace {ns!r}")
+        if (not isinstance(name, str) or not names.fullmatch(name)
+                or (ns == BASE and name in ("T", "F"))):
+            raise ValueError(f"malformed {ns} variable name {name!r}")
+        return Var(name, ns)
     if op == "bot":
         return BOT
+    ctor = _OPS.get(op)
+    if ctor is None:
+        raise ValueError(f"unknown op {op!r}")
     if budget == 0:
         raise ValueError(f"term nested deeper than {MAX_NESTING} levels")
-    if op == "neg":
-        return Neg(_term_from_obj(obj["arg"], budget - 1))
-    ctor = {"and": And, "or": Or, "imp": Imp}[op]
-    return ctor(_term_from_obj(obj["left"], budget - 1),
-                _term_from_obj(obj["right"], budget - 1))
+    if ctor is Neg:
+        return Neg(_term_from_obj(_field(obj, "arg", dict), budget - 1))
+    return ctor(_term_from_obj(_field(obj, "left", dict), budget - 1),
+                _term_from_obj(_field(obj, "right", dict), budget - 1))
 
 
 def member_to_obj(m) -> dict:
@@ -416,10 +437,8 @@ def member_to_obj(m) -> dict:
 
 
 def member_from_obj(obj: dict, calculus: str):
-    t = term_from_obj(obj["term"])
-    star = obj.get("star", False)
-    if star is not True and star is not False:
-        raise ValueError(f"key 'star' holds a {type(star).__name__}, not true or false")
+    t = term_from_obj(_field(obj, "term", dict))
+    star = _field(obj, "star", bool, default=False)
     if calculus == SDM:
         return Struct(star, t)
     if star:
@@ -437,12 +456,9 @@ def sequent_to_obj(s: Sequent) -> dict:
 
 
 def sequent_from_obj(obj: dict) -> Sequent:
-    if obj.get("schema", AST_SCHEMA) != AST_SCHEMA:
-        raise ValueError(f"unsupported AST schema {obj.get('schema')!r}")
-    calc = obj["calculus"]
-    ants = obj["antecedent"]
-    if not isinstance(ants, list):
-        raise ValueError(f"key 'antecedent' holds a {type(ants).__name__}, not a list")
-    ants = [member_from_obj(m, calc) for m in ants]
-    succ = member_from_obj(obj["succedent"], calc)
-    return sequent(calc, ants, succ)
+    schema = _field(obj, "schema", object, default=AST_SCHEMA)
+    if schema != AST_SCHEMA:
+        raise ValueError(f"unsupported AST schema {schema!r}")
+    calc = _field(obj, "calculus", object)
+    return sequent(calc, [member_from_obj(m, calc) for m in _field(obj, "antecedent", list)],
+                   member_from_obj(_field(obj, "succedent", dict), calc))

@@ -26,12 +26,6 @@ def t_sequent(s: Sequent) -> Sequent:
     return sequent(SDM, [plain(t_flatten(s.antecedent))], plain(t_flatten(s.succedent)))
 
 
-def big_or(terms) -> Term:
-    """Left fold of | in canonical order; the empty fold is F."""
-    members = sorted(terms, key=lambda t: t.key())
-    return fold(Or, members, BOT)
-
-
 def f_godel_gentzen(x):
     """Double-negation translation; antecedents fold into one conjunction."""
     if isinstance(x, Term):

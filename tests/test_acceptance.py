@@ -1,12 +1,11 @@
 """Acceptance suite: one test per criterion, each printing one PASS/FAIL line.
 
-Criteria 3, 8 and 9 assert metatheoretic claims about the SDM calculus (full
-cut admissibility, the double-negation embeddings, two of the derivable-
-sequent schemata) that exhaustive search refutes on concrete instances: the
-star rule demands exactly the starred member's term, which makes some
-algebra-valid sequents underivable.  Those legs are asserted at face value
-and fail honestly; the counterexamples are pinned in test_translations.py
-and the run prints them.  Everything else is green.
+Criterion 8 asserts the paper's embedding theorems at face value, and two of
+its six legs fail on concrete instances: ``sdm-to-int-k`` (298 of 300 goals
+agree) and ``diagram`` (286 of 300), because the ``k`` translation maps
+irreducible negated terms to class atoms that carry no order between them.
+The run prints the counterexamples.  Every other criterion passes, criteria
+3 (admissibility and cut) and 9 (the derivable-sequent schemata) included.
 """
 
 import random

@@ -114,6 +114,15 @@ def test_render_rejects_an_antecedent_that_is_not_a_list():
     assert "Traceback" not in r.stderr
 
 
+def test_render_rejects_an_unknown_op():
+    obj = json.loads(run_cli("prove", "--calculus", "g3dm", "=> ~F", "--format", "json").stdout)
+    obj["derivation"]["sequent"]["succedent"]["term"] = {"op": "xor"}
+    r = run_cli("render", stdin=json.dumps(obj))
+    assert r.returncode == 2
+    assert "derivation.sequent: unknown op 'xor'" in r.stderr
+    assert "Traceback" not in r.stderr
+
+
 def test_batch_mode_jsonl():
     r = run_cli("decide", "--calculus", "g3dm", "--batch",
                 stdin="~~p => p\np => q\nbad (\n")

@@ -370,8 +370,10 @@ def test_weakening_admissible_sdm():
 def test_contraction_admissible_sdm():
     cfg = CorpusConfig(seed=17, max_depth=2, max_antecedent=2)
     eng = SearchEngine()
-    for s in derivable_corpus("sdm", 40, cfg, max_weight=16, engine=eng,
-                              term_succedent=True):
+    goals = [s for s in derivable_corpus("sdm", 80, cfg, max_weight=16, engine=eng)
+             if not s.succedent.star][:40]
+    assert len(goals) == 40
+    for s in goals:
         if not s.antecedent:
             continue
         m = s.antecedent[0]

@@ -7,9 +7,9 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from morgankit import (
-    BOT, And, Imp, Neg, Or, SearchEngine, Var,
+    BOT, And, FiniteAlgebra, Imp, Neg, Or, SearchEngine, Var,
     NamespaceError, ParseError,
-    check_derivation, complexity, dm_weight, parse_sequent,
+    check_derivation, complexity, dm4, dm_weight, parse_sequent,
     parse_term, plain, print_sequent, print_structure, print_term,
     proof_from_obj, proof_to_obj, sdm_weight, sequent, starred,
     sequent_from_obj, sequent_to_obj, term_from_obj, term_to_obj,
@@ -237,6 +237,74 @@ def test_sequent_from_obj_requires_an_antecedent_list(antecedent):
 @given(_imp_terms())
 def test_term_json_roundtrip(t):
     assert term_from_obj(json.loads(json.dumps(term_to_obj(t)))) == t
+
+
+# --- malformed JSON: every decoder returns or raises ValueError ---------------
+
+_JSON_KEYS = st.sampled_from([
+    "op", "name", "ns", "arg", "left", "right", "star", "term", "schema",
+    "calculus", "antecedent", "succedent", "derivation", "sequent", "rule",
+    "principal", "height", "premisses", "size", "order", "neg", "zero", "one"])
+_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=3)
+    | st.sampled_from(["var", "bot", "neg", "and", "xor", "sdm", "dm", "int", "base"]),
+    lambda inner: (st.lists(inner, max_size=3)
+                   | st.dictionaries(_JSON_KEYS | st.text(max_size=2), inner, max_size=4)),
+    max_leaves=12)
+
+_ALGEBRA = dm4().to_obj()
+_SEQUENT = sequent_to_obj(parse_sequent("*p, ~q & r => *~(p | q)", "sdm"))
+_VALID = [
+    (term_from_obj, term_to_obj(Imp(Or(Neg(p), And(q, Var("k1", "class"))), BOT))),
+    (sequent_from_obj, _SEQUENT),
+    (sequent_from_obj, sequent_to_obj(parse_sequent("p -> q, p => q", "int"))),
+    *((proof_from_obj, proof_to_obj(SearchEngine().derive(calc, parse_sequent(text, calc))))
+      for calc, text in (("sdm", "~~~p => ~p"), ("dm", "p & q => q | r"))),
+    (FiniteAlgebra.from_obj, _ALGEBRA),
+]
+
+
+def _key_paths(x, path=()):
+    """The path to every key of every object inside the JSON value x."""
+    if isinstance(x, dict):
+        for k, v in x.items():
+            yield path + (k,)
+            yield from _key_paths(v, path + (k,))
+    elif isinstance(x, list):
+        for i, v in enumerate(x):
+            yield from _key_paths(v, path + (i,))
+
+
+@st.composite
+def _spoiled(draw, valid):
+    """valid with one key, at any depth, deleted or given a value of another
+    JSON type."""
+    obj = json.loads(json.dumps(valid))
+    *path, key = draw(st.sampled_from(list(_key_paths(obj))))
+    node = obj
+    for step in path:
+        node = node[step]
+    old = node.pop(key)
+    if draw(st.booleans()):
+        node[key] = draw(_JSON.filter(lambda v: type(v) is not type(old)))
+    return obj
+
+
+@settings(max_examples=400)
+@given(st.one_of(
+    *(st.tuples(st.just(decode), _JSON | _spoiled(obj)) for decode, obj in _VALID),
+    st.tuples(st.just(FiniteAlgebra.from_obj),
+              st.integers().map(lambda n: {**_ALGEBRA, "size": n}))))
+@example((term_from_obj, {"op": "xor"}))
+@example((sequent_from_obj, {**_SEQUENT, "antecedent": [5]}))
+@example((sequent_from_obj, []))
+@example((FiniteAlgebra.from_obj, {**_ALGEBRA, "size": "4"}))
+def test_decoders_raise_only_value_error(case):
+    decode, obj = case
+    try:
+        decode(obj)
+    except ValueError:
+        pass
 
 
 def test_complexity_counts_connectives():

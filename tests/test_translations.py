@@ -12,7 +12,7 @@ from morgankit import (
 )
 from morgankit.calculi import STAR_FAMILY
 from morgankit.corpus import CorpusConfig, generate_sequents
-from morgankit.translations import TRANSLATIONS, big_or, translate
+from morgankit.translations import TRANSLATIONS, translate
 
 p, q, r = Var("p"), Var("q"), Var("r")
 
@@ -22,7 +22,6 @@ def test_t_flatten():
     assert t_flatten((plain(p), starred(q))) == And(p, Neg(q))
     assert t_flatten(plain(p)) == p
     assert t_flatten(()) == TOP_ALG
-    assert big_or([]) == BOT
 
 
 def test_t_flatten_folds_in_canonical_order():
@@ -248,12 +247,12 @@ def test_or_of_negations_direction():
     # of negated members; the SDM calculus cannot host this (it needs the
     # full law ~(a & b) = ~a | ~b), see the characterization test below
     from morgankit.corpus import CorpusConfig, derivable_corpus
-    from morgankit.translations import TRANSLATIONS, big_or, translate
+    from morgankit.terms import fold
     eng = SearchEngine()
     cfg = CorpusConfig(seed=71, max_depth=2, max_antecedent=3)
     for s in derivable_corpus("dm", 60, cfg, max_weight=14, engine=eng):
-        flipped = sequent(
-            "dm", [Neg(s.succedent)], big_or([Neg(m) for m in s.antecedent]))
+        negations = sorted((Neg(m) for m in s.antecedent), key=lambda t: t.key())
+        flipped = sequent("dm", [Neg(s.succedent)], fold(Or, negations, BOT))
         assert eng.derivable("dm", flipped), print_sequent(s)
 
 
