@@ -3,8 +3,9 @@
 ``expand(goal)`` enumerates every rule instance whose conclusion is the goal,
 from the table that the goal's calculus tag picks: zero-premiss axiom
 instances plus one instance per applicable (rule, principal occurrence)
-pair.  Left rules are instantiated per occurrence, not per distinct member;
-the calculi are contraction-free, so duplicated antecedent members matter.
+pair; an instance does not store its conclusion, the goal.  Left rules are
+instantiated per occurrence, not per distinct member; the calculi are
+contraction-free, so duplicated antecedent members matter.
 
 ``principal`` is the index of the principal occurrence in the (canonically
 sorted) antecedent, ``-1`` when the succedent is principal, and ``None`` for
@@ -49,7 +50,7 @@ class CalculusMismatchError(ValueError):
     """The goal's calculus tag does not match the requested rule table."""
 
 
-class RuleInstance(namedtuple("RuleInstance", "label conclusion premisses principal")):
+class RuleInstance(namedtuple("RuleInstance", "label premisses principal")):
     __slots__ = ()
 
     def __repr__(self):
@@ -108,75 +109,72 @@ def iter_g3sdm(goal: Sequent) -> Iterator[RuleInstance]:
     # axioms
     if not succ.star and type(succ.term) is Var:
         if succ in ants:
-            yield RuleInstance("Id", goal, (), None)
+            yield RuleInstance("Id", (), None)
     if succ == _STAR_BOT:
-        yield RuleInstance("=>*Bot", goal, (), None)
+        yield RuleInstance("=>*Bot", (), None)
     if _PLAIN_BOT in ants:
-        yield RuleInstance("Bot=>", goal, (), None)
+        yield RuleInstance("Bot=>", (), None)
     if _STAR_NEG_BOT in ants:
-        yield RuleInstance("*~Bot=>", goal, (), None)
+        yield RuleInstance("*~Bot=>", (), None)
 
     # single-premiss invertible rules, right then left
     st = succ.term
     if not succ.star:
         if type(st) is Neg:
-            yield RuleInstance("=>~", goal, (_with_succ(goal, starred(st.arg)),), -1)
+            yield RuleInstance("=>~", (_with_succ(goal, starred(st.arg)),), -1)
     else:
         if type(st) is Neg and type(st.arg) is Neg:
-            yield RuleInstance(
-                "=>*~~", goal, (_with_succ(goal, starred(st.arg.arg)),), -1)
+            yield RuleInstance("=>*~~", (_with_succ(goal, starred(st.arg.arg)),), -1)
     for i, m in enumerate(ants):
         t = m.term
         if not m.star:
             if type(t) is And:
                 yield RuleInstance(
-                    "&=>", goal, (_replace(goal, i, (plain(t.left), plain(t.right))),), i)
+                    "&=>", (_replace(goal, i, (plain(t.left), plain(t.right))),), i)
             elif type(t) is Neg:
-                yield RuleInstance("~=>", goal, (_replace(goal, i, (starred(t.arg),)),), i)
+                yield RuleInstance("~=>", (_replace(goal, i, (starred(t.arg),)),), i)
         else:
             if type(t) is Or:
                 yield RuleInstance(
-                    "*|=>", goal,
-                    (_replace(goal, i, (starred(t.left), starred(t.right))),), i)
+                    "*|=>", (_replace(goal, i, (starred(t.left), starred(t.right))),), i)
             elif type(t) is Neg:
                 a = t.arg
                 if type(a) is And:
                     yield RuleInstance(
-                        "*~&=>", goal,
+                        "*~&=>",
                         (_replace(goal, i, (starred(Neg(a.left)), starred(Neg(a.right)))),), i)
                 elif type(a) is Neg:
-                    yield RuleInstance(
-                        "*~~=>", goal, (_replace(goal, i, (starred(a.arg),)),), i)
+                    yield RuleInstance("*~~=>", (_replace(goal, i, (starred(a.arg),)),), i)
 
     # branching invertible rules
     if not succ.star:
         if type(st) is And:
             yield RuleInstance(
-                "=>&", goal,
+                "=>&",
                 (_with_succ(goal, plain(st.left)), _with_succ(goal, plain(st.right))), -1)
     else:
         if type(st) is Or:
             yield RuleInstance(
-                "=>*|", goal,
+                "=>*|",
                 (_with_succ(goal, starred(st.left)), _with_succ(goal, starred(st.right))), -1)
         elif type(st) is Neg and type(st.arg) is And:
             a = st.arg
             yield RuleInstance(
-                "=>*~&", goal,
+                "=>*~&",
                 (_with_succ(goal, starred(Neg(a.left))),
                  _with_succ(goal, starred(Neg(a.right)))), -1)
     for i, m in enumerate(ants):
         if not m.star and type(m.term) is Or:
             t = m.term
             yield RuleInstance(
-                "|=>", goal,
+                "|=>",
                 (_replace(goal, i, (plain(t.left),)),
                  _replace(goal, i, (plain(t.right),))), i)
 
     # non-invertible choices
     if not succ.star and type(st) is Or:
-        yield RuleInstance("=>|1", goal, (_with_succ(goal, plain(st.left)),), -1)
-        yield RuleInstance("=>|2", goal, (_with_succ(goal, plain(st.right)),), -1)
+        yield RuleInstance("=>|1", (_with_succ(goal, plain(st.left)),), -1)
+        yield RuleInstance("=>|2", (_with_succ(goal, plain(st.right)),), -1)
 
     # the star family with its G3DM premisses, then the star rule: from
     # phi => psi infer *psi, Gamma => *phi
@@ -185,7 +183,7 @@ def iter_g3sdm(goal: Sequent) -> Iterator[RuleInstance]:
         for i, m in enumerate(ants):
             if m.star:
                 premiss = Sequent(SDM, (plain(st),), plain(m.term))
-                yield RuleInstance("*", goal, (premiss,), i)
+                yield RuleInstance("*", (premiss,), i)
 
 
 def _star_family(goal: Sequent) -> Iterator[RuleInstance]:
@@ -202,11 +200,11 @@ def _star_family(goal: Sequent) -> Iterator[RuleInstance]:
         disjunction = fold(Or, [ants[i].term for i in used], BOT)
         premisses = (Sequent(DM, (goal.succedent.term,), disjunction),)
         if not used:
-            yield RuleInstance("*0", goal, premisses, -1)
+            yield RuleInstance("*0", premisses, -1)
         elif len(used) == 1:
-            yield RuleInstance("*1", goal, premisses, used[0])
+            yield RuleInstance("*1", premisses, used[0])
         else:
-            yield RuleInstance("*n", goal, premisses, sum(1 << i for i in used))
+            yield RuleInstance("*n", premisses, sum(1 << i for i in used))
 
 
 def star_family_used(label: str, principal: int) -> list:
@@ -227,58 +225,56 @@ def iter_g3dm(goal: Sequent) -> Iterator[RuleInstance]:
     # axioms
     ts = type(succ)
     if ts is Var and succ in ants:
-        yield RuleInstance("Id1", goal, (), None)
+        yield RuleInstance("Id1", (), None)
     if ts is Neg and type(succ.arg) is Var and succ in ants:
-        yield RuleInstance("Id2", goal, (), None)
+        yield RuleInstance("Id2", (), None)
     if ts is Neg and succ.arg is BOT:
-        yield RuleInstance("=>~Bot", goal, (), None)
+        yield RuleInstance("=>~Bot", (), None)
     if BOT in ants:
-        yield RuleInstance("Bot=>", goal, (), None)
+        yield RuleInstance("Bot=>", (), None)
 
     # single-premiss invertible rules
     if ts is Neg and type(succ.arg) is Neg:
-        yield RuleInstance("=>~~", goal, (_with_succ(goal, succ.arg.arg),), -1)
+        yield RuleInstance("=>~~", (_with_succ(goal, succ.arg.arg),), -1)
     for i, t in enumerate(ants):
         ty = type(t)
         if ty is And:
-            yield RuleInstance("&=>", goal, (_replace(goal, i, (t.left, t.right)),), i)
+            yield RuleInstance("&=>", (_replace(goal, i, (t.left, t.right)),), i)
         elif ty is Neg:
             a = t.arg
             if type(a) is Or:
                 yield RuleInstance(
-                    "~|=>", goal, (_replace(goal, i, (Neg(a.left), Neg(a.right))),), i)
+                    "~|=>", (_replace(goal, i, (Neg(a.left), Neg(a.right))),), i)
             elif type(a) is Neg:
-                yield RuleInstance("~~=>", goal, (_replace(goal, i, (a.arg,)),), i)
+                yield RuleInstance("~~=>", (_replace(goal, i, (a.arg,)),), i)
 
     # branching invertible rules
     if ts is And:
         yield RuleInstance(
-            "=>&", goal, (_with_succ(goal, succ.left), _with_succ(goal, succ.right)), -1)
+            "=>&", (_with_succ(goal, succ.left), _with_succ(goal, succ.right)), -1)
     elif ts is Neg and type(succ.arg) is Or:
         a = succ.arg
         yield RuleInstance(
-            "=>~|", goal,
-            (_with_succ(goal, Neg(a.left)), _with_succ(goal, Neg(a.right))), -1)
+            "=>~|", (_with_succ(goal, Neg(a.left)), _with_succ(goal, Neg(a.right))), -1)
     for i, t in enumerate(ants):
         ty = type(t)
         if ty is Or:
             yield RuleInstance(
-                "|=>", goal,
-                (_replace(goal, i, (t.left,)), _replace(goal, i, (t.right,))), i)
+                "|=>", (_replace(goal, i, (t.left,)), _replace(goal, i, (t.right,))), i)
         elif ty is Neg and type(t.arg) is And:
             a = t.arg
             yield RuleInstance(
-                "~&=>", goal,
+                "~&=>",
                 (_replace(goal, i, (Neg(a.left),)), _replace(goal, i, (Neg(a.right),))), i)
 
     # non-invertible choices
     if ts is Or:
-        yield RuleInstance("=>|1", goal, (_with_succ(goal, succ.left),), -1)
-        yield RuleInstance("=>|2", goal, (_with_succ(goal, succ.right),), -1)
+        yield RuleInstance("=>|1", (_with_succ(goal, succ.left),), -1)
+        yield RuleInstance("=>|2", (_with_succ(goal, succ.right),), -1)
     elif ts is Neg and type(succ.arg) is And:
         a = succ.arg
-        yield RuleInstance("=>~&1", goal, (_with_succ(goal, Neg(a.left)),), -1)
-        yield RuleInstance("=>~&2", goal, (_with_succ(goal, Neg(a.right)),), -1)
+        yield RuleInstance("=>~&1", (_with_succ(goal, Neg(a.left)),), -1)
+        yield RuleInstance("=>~&2", (_with_succ(goal, Neg(a.right)),), -1)
 
 
 def iter_g3ip(goal: Sequent) -> Iterator[RuleInstance]:
@@ -294,44 +290,43 @@ def iter_g3ip(goal: Sequent) -> Iterator[RuleInstance]:
 
     # axioms
     if type(succ) is Var and succ in ants:
-        yield RuleInstance("Id", goal, (), None)
+        yield RuleInstance("Id", (), None)
     if BOT in ants:
-        yield RuleInstance("BotL", goal, (), None)
+        yield RuleInstance("BotL", (), None)
 
     # single-premiss invertible rules
     if type(succ) is Imp:
         premiss = Sequent(goal.calculus, ants + (succ.left,), succ.right)
-        yield RuleInstance("->R", goal, (premiss,), -1)
+        yield RuleInstance("->R", (premiss,), -1)
     for i, t in enumerate(ants):
         if type(t) is And:
-            yield RuleInstance("&L", goal, (_replace(goal, i, (t.left, t.right)),), i)
+            yield RuleInstance("&L", (_replace(goal, i, (t.left, t.right)),), i)
 
     # branching invertible rules
     if type(succ) is And:
         yield RuleInstance(
-            "&R", goal, (_with_succ(goal, succ.left), _with_succ(goal, succ.right)), -1)
+            "&R", (_with_succ(goal, succ.left), _with_succ(goal, succ.right)), -1)
     for i, t in enumerate(ants):
         if type(t) is Or:
             yield RuleInstance(
-                "|L", goal,
-                (_replace(goal, i, (t.left,)), _replace(goal, i, (t.right,))), i)
+                "|L", (_replace(goal, i, (t.left,)), _replace(goal, i, (t.right,))), i)
 
     # non-invertible choices
     if type(succ) is Or:
-        yield RuleInstance("|R1", goal, (_with_succ(goal, succ.left),), -1)
-        yield RuleInstance("|R2", goal, (_with_succ(goal, succ.right),), -1)
+        yield RuleInstance("|R1", (_with_succ(goal, succ.left),), -1)
+        yield RuleInstance("|R2", (_with_succ(goal, succ.right),), -1)
     for i, t in enumerate(ants):
         if type(t) is Imp:
             # the principal implication stays in the first premiss
             first = _with_succ(goal, t.left)
             second = _replace(goal, i, (t.right,))
-            yield RuleInstance("->L", goal, (first, second), i)
+            yield RuleInstance("->L", (first, second), i)
 
     if goal.calculus == CL:
         for ns, name in sorted(variables(goal)):
             v = Var(name, ns)
             yield RuleInstance(
-                "Gem-at", goal,
+                "Gem-at",
                 (Sequent(CL, ants + (v,), succ),
                  Sequent(CL, ants + (Imp(v, BOT),), succ)), None)
 

@@ -73,7 +73,7 @@ from .calculi import (
     iter_g3ip, iter_instances,
 )
 from .syntax import (
-    _LATEX, _field, _sequent_text, print_sequent, sequent_from_obj, sequent_to_obj,
+    _LATEX, _field, _sequent_from_obj, _sequent_text, print_sequent, sequent_to_obj,
 )
 from .terms import (
     CL, DM, INT, SDM, And, Imp, Or, Sequent, Var, variables,
@@ -84,7 +84,7 @@ PROOF_SCHEMA = "morgan-kit/proof/v1"
 _BIG = 1 << 60
 
 # A store clears the memo once it holds this many entries.  A 20,000-goal
-# run per calculus ends below 100,000, and an entry takes 231-574 bytes.
+# run per calculus ends below 100,000, and an entry takes 296-525 bytes.
 _MEMO_CAP = 1 << 19
 
 _CALCULUS_ALIASES = {
@@ -116,9 +116,9 @@ class Derivation(namedtuple("Derivation", "sequent rule principal children heigh
         return f"<Derivation {self.rule} h={self.height} {print_sequent(self.sequent)}>"
 
 
-def _node(inst: RuleInstance, children: tuple) -> Derivation:
+def _node(goal: Sequent, inst: RuleInstance, children: tuple) -> Derivation:
     h = 1 + max(c.height for c in children) if children else 0
-    return Derivation(inst.conclusion, inst.label, inst.principal, children, h)
+    return Derivation(goal, inst.label, inst.principal, children, h)
 
 
 class InvalidDerivationError(ValueError):
@@ -186,7 +186,7 @@ class SearchEngine:
         minref = _BIG
         for inst in iter_instances(goal):
             if not inst.premisses:
-                result = _node(inst, ())
+                result = _node(goal, inst, ())
                 break
             children = []
             for p in inst.premisses:
@@ -195,7 +195,7 @@ class SearchEngine:
                     break
                 children.append(d)
             else:
-                result = _node(inst, tuple(children))
+                result = _node(goal, inst, tuple(children))
                 break
             if d is not None:  # a prune above the premiss; INT/CL only
                 if d < minref:
@@ -251,7 +251,7 @@ def _bd(goal: Sequent, n: int, tt: "_TruthTables", memo: dict) -> Derivation | N
     if goal.calculus in (SDM, DM) or not tt.refutes(goal):
         for inst in iter_instances(goal):
             if not inst.premisses:
-                result = _node(inst, ())
+                result = _node(goal, inst, ())
                 break
             if n == 0:  # every rule table yields its axioms first
                 break
@@ -262,7 +262,7 @@ def _bd(goal: Sequent, n: int, tt: "_TruthTables", memo: dict) -> Derivation | N
                     break
                 children.append(d)
             else:
-                result = _node(inst, tuple(children))
+                result = _node(goal, inst, tuple(children))
                 break
     memo[key] = result
     return result
@@ -281,20 +281,20 @@ def _identity(goal: Sequent) -> Derivation:
         right = _g3ip_instance(goal, "->R", -1)
         (p,) = right.premisses
         left = _g3ip_instance(p, "->L", p.antecedent.index(a))
-        return _node(right, (_node(left, tuple(map(_identity, left.premisses))),))
+        return _node(goal, right, (_node(p, left, tuple(map(_identity, left.premisses))),))
     if ty is And:
         left = _g3ip_instance(goal, "&L", goal.antecedent.index(a))
         (p,) = left.premisses
         right = _g3ip_instance(p, "&R", -1)
-        return _node(left, (_node(right, tuple(map(_identity, right.premisses))),))
+        return _node(goal, left, (_node(p, right, tuple(map(_identity, right.premisses))),))
     if ty is Or:
         left = _g3ip_instance(goal, "|L", goal.antecedent.index(a))
         children = []
         for p, label in zip(left.premisses, ("|R1", "|R2")):
             right = _g3ip_instance(p, label, -1)
-            children.append(_node(right, (_identity(right.premisses[0]),)))
-        return _node(left, tuple(children))
-    return _node(_g3ip_instance(goal, "Id" if ty is Var else "BotL", None), ())
+            children.append(_node(p, right, (_identity(right.premisses[0]),)))
+        return _node(goal, left, tuple(children))
+    return _node(goal, _g3ip_instance(goal, "Id" if ty is Var else "BotL", None), ())
 
 
 def _g3ip_instance(goal: Sequent, label: str, principal) -> RuleInstance:
@@ -533,13 +533,8 @@ def proof_from_obj(obj: dict) -> Derivation:
 
 
 def _node_from_obj(x: dict, path: str) -> Derivation:
-    obj = _field(x, "sequent", dict, path=path)
-    try:
-        seq = sequent_from_obj(obj)
-    except ValueError as e:
-        raise ValueError(f"{path}.sequent: {e}") from None
     return Derivation(
-        seq,
+        _sequent_from_obj(_field(x, "sequent", dict, path=path), f"{path}.sequent"),
         _field(x, "rule", str, path=path),
         _field(x, "principal", int, type(None), path=path),
         tuple(_node_from_obj(c, f"{path}.premisses[{i}]")

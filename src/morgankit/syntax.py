@@ -358,9 +358,13 @@ def print_sequent(s: Sequent) -> str:
 _OPS = {"neg": Neg, "and": And, "or": Or, "imp": Imp}
 _OP_NAMES = {ctor: name for name, ctor in _OPS.items()}
 
-# The JSON kind of each type a key may be asked to hold, as messages name it.
+# The JSON kind of each type a decoder reads, as messages name it.
 _KINDS = {dict: "an object", list: "a list", str: "a string", int: "an int",
-          bool: "true or false", type(None): "null"}
+          float: "a number", bool: "a boolean", type(None): "null"}
+
+
+def _kind(v) -> str:
+    return _KINDS.get(type(v)) or f"a {type(v).__name__}"
 
 
 def _field(obj, key: str, *types, default=None, path: str = ""):
@@ -368,7 +372,7 @@ def _field(obj, key: str, *types, default=None, path: str = ""):
     int), or default if given and key is absent; else ValueError naming key."""
     where = f"{path}: " if path else ""
     if not isinstance(obj, dict):
-        raise ValueError(f"{where}a {type(obj).__name__} has no key {key!r}")
+        raise ValueError(f"{where}{_kind(obj)} has no key {key!r}")
     if key not in obj:
         if default is None:
             raise ValueError(f"{where}missing key {key!r}")
@@ -376,7 +380,7 @@ def _field(obj, key: str, *types, default=None, path: str = ""):
     v = obj[key]
     if not isinstance(v, types) or (type(v) is bool and int in types):
         kinds = " or ".join(_KINDS[t] for t in types)
-        raise ValueError(f"{where}key {key!r} holds a {type(v).__name__}, not {kinds}")
+        raise ValueError(f"{where}key {key!r} holds {_kind(v)}, not {kinds}")
     return v
 
 
@@ -456,9 +460,27 @@ def sequent_to_obj(s: Sequent) -> dict:
 
 
 def sequent_from_obj(obj: dict) -> Sequent:
-    schema = _field(obj, "schema", object, default=AST_SCHEMA)
+    """Inverse of sequent_to_obj; an error in a member names it (``antecedent[0]: ...``)."""
+    return _sequent_from_obj(obj, "")
+
+
+def _sequent_from_obj(obj, path: str) -> Sequent:
+    """The sequent at JSON path ``path``; a ValueError starts with the path
+    of the node it is about, the sequent or one of its members."""
+    where, dot = (f"{path}: ", f"{path}.") if path else ("", "")
+    schema = _field(obj, "schema", object, default=AST_SCHEMA, path=path)
     if schema != AST_SCHEMA:
-        raise ValueError(f"unsupported AST schema {schema!r}")
-    calc = _field(obj, "calculus", object)
-    return sequent(calc, [member_from_obj(m, calc) for m in _field(obj, "antecedent", list)],
-                   member_from_obj(_field(obj, "succedent", dict), calc))
+        raise ValueError(f"{where}unsupported AST schema {schema!r}")
+    calc = _field(obj, "calculus", object, path=path)
+    def member(at: str, m):
+        try:
+            return member_from_obj(m, calc)
+        except ValueError as e:
+            raise ValueError(f"{dot}{at}: {e}") from None
+    ants = [member(f"antecedent[{i}]", m)
+            for i, m in enumerate(_field(obj, "antecedent", list, path=path))]
+    succ = member("succedent", _field(obj, "succedent", dict, path=path))
+    try:
+        return sequent(calc, ants, succ)
+    except ValueError as e:
+        raise ValueError(f"{where}{e}") from None

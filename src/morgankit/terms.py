@@ -11,7 +11,7 @@ Terms and structures are hash-consed: each constructor looks its node up in
 one weak intern table, keyed by the constructor and its children (already
 interned), and builds a node only on a miss.  Two structurally equal terms
 are therefore the same object, so equality is identity and hashing is the
-default identity hash; no term class defines ``__eq__`` or ``__hash__``.
+default identity hash, which no term class overrides.
 The table holds its nodes weakly: a term lives exactly as long as something
 outside the table refers to it.  A miss inserts under a lock after a second
 lookup, so threads building the same term concurrently get one node.
@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import _thread
 import weakref
+from collections import namedtuple
 from collections.abc import Iterable
 from operator import attrgetter
 
@@ -261,43 +262,29 @@ def starred(t: Term) -> Struct:
 _BY_KEY = attrgetter("_key")
 
 
-class Sequent:
+class Sequent(namedtuple("Sequent", "calculus antecedent succedent")):
     """A sequent: multiset antecedent, single succedent, calculus tag.
 
-    The antecedent tuple is always kept sorted by the canonical member
-    order, so two sequents whose antecedents are equal as multisets compare
-    equal.  SDM sequents carry Struct members and a Struct succedent; DM,
-    INT and CL sequents carry bare terms.
+    A named tuple whose constructor sorts the antecedent by the canonical
+    member order, so two sequents whose antecedents are equal as multisets
+    compare equal.  SDM sequents carry Struct members and a Struct succedent;
+    DM, INT and CL sequents carry bare terms.
     """
 
-    __slots__ = ("calculus", "antecedent", "succedent", "_h")
+    __slots__ = ()
 
-    def __init__(self, calculus: str, antecedent: Iterable, succedent):
-        ants = sorted(antecedent, key=_BY_KEY)
-        self.calculus = calculus
-        self.antecedent = tuple(ants)
-        self.succedent = succedent
-        self._h = hash((calculus, self.antecedent, succedent))
+    def __new__(cls, calculus: str, antecedent: Iterable, succedent):
+        ants = tuple(sorted(antecedent, key=_BY_KEY))
+        return tuple.__new__(cls, (calculus, ants, succedent))
 
     def setform(self):
-        """Antecedent-as-set view, used for loop checking in INT/CL search."""
+        """Antecedent-as-set view for the INT/CL loop check.  It equals a Sequent
+        of the same fields, so search keeps it in ``path``, never in ``_witness``."""
         return self.calculus, tuple(dict.fromkeys(self.antecedent)), self.succedent
 
     def without(self, index: int) -> tuple:
         a = self.antecedent
         return a[:index] + a[index + 1:]
-
-    def __hash__(self):
-        return self._h
-
-    def __eq__(self, other):
-        return self is other or (
-            type(other) is Sequent
-            and self._h == other._h
-            and self.succedent is other.succedent
-            and self.calculus == other.calculus
-            and self.antecedent == other.antecedent
-        )
 
     def __repr__(self):
         from .syntax import print_sequent
@@ -349,8 +336,8 @@ def _avoids(t: Term, connective) -> bool:
 # --- weights -----------------------------------------------------------
 
 # A collection of members is a plain tuple or list.  Records such as
-# Derivation and Partition subclass tuple; the exact type test keeps them
-# from being read as collections of members.
+# Sequent, Derivation and Partition subclass tuple; the exact type test keeps
+# them from being read as collections of members.
 _SEQUENCES = (tuple, list)
 
 

@@ -80,6 +80,9 @@ def test_reference_checks_reject():
     assert FiniteAlgebra(4, dm4().join, dm4().meet, dm4().neg, one=-1) == dm4()
     with pytest.raises(ValueError, match="order pair outside the carrier"):
         FiniteAlgebra.from_obj({**dm4().to_obj(), "order": dm4().order_pairs() + [[0, 7]]})
+    with pytest.raises(ValueError) as e:
+        FiniteAlgebra.from_obj({**dm4().to_obj(), "zero": None})
+    assert str(e.value) == "key 'zero' holds null, not an int"
 
 
 def test_evaluate_pins():

@@ -26,7 +26,6 @@ def test_g3sdm_star_or_left():
     goal = parse_sequent("*(p | q) => r", "sdm")
     (inst,) = [i for i in expand(goal) if i.label == "*|=>"]
     assert inst.premisses == (sequent("sdm", [starred(p), starred(q)], plain(r)),)
-    assert inst.conclusion == goal
 
 
 def test_g3sdm_star_rule_discards_context():
@@ -136,21 +135,14 @@ def test_weight_decrease_dm():
                 assert dm_weight(pm) < w, inst.label
 
 
-def test_conclusion_fidelity_all_calculi():
-    for calc in ("sdm", "dm", "int", "cl"):
-        for goal in _goals(calc, 150, seed=7):
-            for inst in expand(goal):
-                assert inst.conclusion == goal
-
-
 def test_rule_instance_record():
     from morgankit import RuleInstance
     goal = parse_sequent("p & q => p", "sdm")
     (inst,) = expand(goal)
     (twin,) = expand(parse_sequent("p & q => p", "sdm"))
     assert inst is not twin and inst == twin and hash(inst) == hash(twin)
-    assert inst == RuleInstance("&=>", goal, inst.premisses, 0)
-    assert inst != RuleInstance("&=>", goal, inst.premisses, -1)
+    assert inst == RuleInstance("&=>", inst.premisses, 0)
+    assert inst != RuleInstance("&=>", inst.premisses, -1)
     assert repr(inst) == "<RuleInstance &=> principal=0>"
     with pytest.raises(AttributeError):
         inst.label = "Id"

@@ -79,7 +79,7 @@ def test_render_checks_the_proof_calculus():
     obj = json.loads(r.stdout)
     assert run_cli("render", stdin=json.dumps(obj)).returncode == 0
     for calculus, message in (("dm", "calculus 'dm', but the root is sdm"),
-                              (5, "key 'calculus' holds a int"),
+                              (5, "proof: key 'calculus' holds an int, not a string"),
                               (None, "missing key 'calculus'")):
         if calculus is None:
             del obj["calculus"]
@@ -94,14 +94,17 @@ def test_render_checks_the_proof_calculus():
 def test_render_names_the_node_of_a_bad_sequent():
     proof = run_cli("prove", "--calculus", "g3sdm", "p & q => p", "--format", "json").stdout
     for spoil, message in (
-            (lambda s: s["succedent"].update(star=1), "key 'star' holds a int, not true or false"),
-            (lambda s: s.update(calculus=["sdm"]), "unknown calculus ['sdm']"),
-            (lambda s: s["succedent"]["term"].update(ns="weird"), "unknown namespace 'weird'")):
+            (lambda s: s["succedent"].update(star=1),
+             ".succedent: key 'star' holds an int, not a boolean"),
+            (lambda s: s.update(calculus=["sdm"]), ": unknown calculus ['sdm']"),
+            (lambda s: s["succedent"]["term"].update(ns="weird"),
+             ".succedent: unknown namespace 'weird'"),
+            (lambda s: s["antecedent"].insert(0, 5), ".antecedent[0]: an int has no key 'term'")):
         obj = json.loads(proof)
         spoil(obj["derivation"]["premisses"][0]["sequent"])
         r = run_cli("render", stdin=json.dumps(obj))
         assert r.returncode == 2, message
-        assert "derivation.premisses[0].sequent: " + message in r.stderr
+        assert "derivation.premisses[0].sequent" + message in r.stderr
         assert "Traceback" not in r.stderr
 
 
@@ -110,7 +113,7 @@ def test_render_rejects_an_antecedent_that_is_not_a_list():
     obj["derivation"]["sequent"]["antecedent"] = {}
     r = run_cli("render", stdin=json.dumps(obj))
     assert r.returncode == 2
-    assert "derivation.sequent: key 'antecedent' holds a dict, not a list" in r.stderr
+    assert "derivation.sequent: key 'antecedent' holds an object, not a list" in r.stderr
     assert "Traceback" not in r.stderr
 
 
@@ -119,7 +122,7 @@ def test_render_rejects_an_unknown_op():
     obj["derivation"]["sequent"]["succedent"]["term"] = {"op": "xor"}
     r = run_cli("render", stdin=json.dumps(obj))
     assert r.returncode == 2
-    assert "derivation.sequent: unknown op 'xor'" in r.stderr
+    assert "derivation.sequent.succedent: unknown op 'xor'" in r.stderr
     assert "Traceback" not in r.stderr
 
 

@@ -730,7 +730,8 @@ def test_records_are_slotted_named_tuples():
     d = derive("dm", goal)
     part = Partition.of([Var("p")], [Var("q")])
     records = [
-        (expand(goal)[0], ("label", "conclusion", "premisses", "principal")),
+        (goal, ("calculus", "antecedent", "succedent")),
+        (expand(goal)[0], ("label", "premisses", "principal")),
         (d, ("sequent", "rule", "principal", "children", "height")),
         (part, ("left", "right")),
         (interpolate("dm", d, part),
