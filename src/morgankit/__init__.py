@@ -9,7 +9,7 @@ semantic oracle.
 from .terms import (
     BASE, BOT, CL, CLASS, DM, DOUBLED, INT, PRIMED, SDM, TOP_ALG, TOP_IMP,
     And, Imp, Neg, Or, Sequent, Struct, Term, Var,
-    complexity, dm_weight, plain, sdm_weight, sequent, starred, variables,
+    dm_weight, plain, sdm_weight, sequent, starred, variables,
 )
 from .syntax import (
     NamespaceError, ParseError,
@@ -21,8 +21,7 @@ from .calculi import CalculusMismatchError, RuleInstance, expand
 from .search import (
     Derivation, InvalidDerivationError, SearchEngine,
     check_derivation, check_derivation_report, default_engine, derivable,
-    derivable_within_height, derive, min_height, normalize_calculus,
-    proof_from_obj, proof_to_obj, render,
+    derive, normalize_calculus, proof_from_obj, proof_to_obj, render,
 )
 from .interpolation import (
     InterpolationResult, Partition, PartitionMismatchError,

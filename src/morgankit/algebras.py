@@ -39,9 +39,9 @@ ALGEBRA_SCHEMA = "morgan-kit/algebra/v1"
 class FiniteAlgebra(namedtuple("FiniteAlgebra", "size join meet neg zero one")):
     """Carrier {0..size-1} with join/meet/neg tables; zero and one element ids.
 
-    A named tuple whose constructor checks the tables: join and meet are
-    size x size tuples, and every entry and both ids lie in the carrier.
-    ``one`` defaults to the top, size - 1.
+    A named tuple whose constructor, which ``_make`` and ``_replace`` go
+    through, checks the tables: join and meet are size x size tuples, and
+    every entry and both ids lie in the carrier.  ``one`` defaults to size - 1.
     """
 
     __slots__ = ()
@@ -60,6 +60,10 @@ class FiniteAlgebra(namedtuple("FiniteAlgebra", "size join meet neg zero one")):
         if not (0 <= zero < size and 0 <= one < size):
             raise ValueError("zero or one outside the carrier")
         return tuple.__new__(cls, (size, join, meet, neg, zero, one))
+
+    @classmethod
+    def _make(cls, iterable):
+        return cls(*iterable)
 
     def leq(self, a: int, b: int) -> bool:
         return self.meet[a][b] == a

@@ -131,7 +131,7 @@ def _cmd_check_embedding(args) -> int:
             seqs = [syntax.parse_sequent(line.strip(), source)
                     for line in fh if line.strip()]
     else:
-        cfg = corpus.CorpusConfig(seed=args.seed, max_depth=args.max_depth)
+        cfg = corpus.CorpusConfig(seed=args.seed)
         seqs = corpus.generate_sequents(source, args.count, cfg,
                                         max_weight=args.max_weight)
     report = translations.check_embedding(kind, seqs)
@@ -189,7 +189,7 @@ def _cmd_render(args) -> int:
 
 def _cmd_corpus(args) -> int:
     calc = normalize_calculus(args.calculus)
-    cfg = corpus.CorpusConfig(seed=args.seed, max_depth=args.max_depth)
+    cfg = corpus.CorpusConfig(seed=args.seed)
     if args.derivable:
         seqs = corpus.derivable_corpus(calc, args.count, cfg, args.max_weight)
     else:
@@ -223,7 +223,6 @@ def build_parser() -> argparse.ArgumentParser:
     def add_corpus(p, max_weight):
         p.add_argument("--seed", type=int, default=0)
         p.add_argument("--count", type=_natural, default=100)
-        p.add_argument("--max-depth", type=int, default=3)
         p.add_argument("--max-weight", type=int, default=max_weight)
 
     p = sub.add_parser("decide", help="exit 0 iff the sequent is derivable")

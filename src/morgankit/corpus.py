@@ -27,8 +27,8 @@ class CorpusConfig(namedtuple("CorpusConfig", (
         "seed max_depth variables max_antecedent min_antecedent star_prob"))):
     """A named tuple of generator settings.
 
-    max_depth is the grammar's recursion depth, which the constructor caps
-    at 5, and star_prob applies to SDM members and succedents only.
+    max_depth is the grammar's recursion depth, capped at 5 (also under
+    ``_replace``), and star_prob applies to SDM members and succedents only.
     """
 
     __slots__ = ()
@@ -40,6 +40,10 @@ class CorpusConfig(namedtuple("CorpusConfig", (
             raise ValueError("max_depth is capped at 5")
         return tuple.__new__(cls, (seed, max_depth, variables, max_antecedent,
                                    min_antecedent, star_prob))
+
+    @classmethod
+    def _make(cls, iterable):
+        return cls(*iterable)
 
 
 def random_term(rng: random.Random, cfg: CorpusConfig, depth: int | None = None,

@@ -176,7 +176,8 @@ class SearchEngine:
                 # the search space that the implication-left rule would
                 # otherwise re-explore exponentially.
                 return self._store(goal, None)
-            sf = goal.setform()
+            # the set form, without the calculus: one search never leaves it
+            sf = (tuple(dict.fromkeys(goal.antecedent)), goal.succedent)
             seen_at = path.get(sf)
             if seen_at is not None:
                 return seen_at
@@ -409,15 +410,6 @@ def derive(calculus: str, goal: Sequent, engine: SearchEngine | None = None):
 
 def derivable(calculus: str, goal: Sequent, engine: SearchEngine | None = None):
     return (engine or _default_engine).derivable(calculus, goal)
-
-
-def derivable_within_height(calculus: str, goal: Sequent, n: int,
-                            engine: SearchEngine | None = None):
-    return (engine or _default_engine).derivable_within_height(calculus, goal, n)
-
-
-def min_height(calculus: str, goal: Sequent, engine: SearchEngine | None = None):
-    return (engine or _default_engine).min_height(calculus, goal)
 
 
 # -- derivation checking -------------------------------------------------

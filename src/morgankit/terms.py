@@ -267,8 +267,8 @@ class Sequent(namedtuple("Sequent", "calculus antecedent succedent")):
 
     A named tuple whose constructor sorts the antecedent by the canonical
     member order, so two sequents whose antecedents are equal as multisets
-    compare equal.  SDM sequents carry Struct members and a Struct succedent;
-    DM, INT and CL sequents carry bare terms.
+    compare equal, also when made by ``_replace``.  SDM sequents carry Struct
+    members and a Struct succedent; DM, INT and CL sequents carry bare terms.
     """
 
     __slots__ = ()
@@ -277,10 +277,9 @@ class Sequent(namedtuple("Sequent", "calculus antecedent succedent")):
         ants = tuple(sorted(antecedent, key=_BY_KEY))
         return tuple.__new__(cls, (calculus, ants, succedent))
 
-    def setform(self):
-        """Antecedent-as-set view for the INT/CL loop check.  It equals a Sequent
-        of the same fields, so search keeps it in ``path``, never in ``_witness``."""
-        return self.calculus, tuple(dict.fromkeys(self.antecedent)), self.succedent
+    @classmethod
+    def _make(cls, iterable):
+        return cls(*iterable)
 
     def without(self, index: int) -> tuple:
         a = self.antecedent
@@ -401,43 +400,25 @@ def dm_weight(x) -> int:
     raise TypeError(f"cannot weigh {x!r}")
 
 
-def _nodes(x) -> list:
-    """Every node of a term, structure, sequent, or plain tuple or list of
-    these (nested), once per occurrence; anything else is listed as it is."""
-    out = []
+def variables(x) -> frozenset:
+    """The set of (namespace, name) pairs occurring in a term, structure,
+    sequent, or plain tuple or list of these (nested); anything else has none."""
+    out = set()
     stack = [x]
     while stack:
         item = stack.pop()
         ty = type(item)
         if ty is Var:
-            out.append(item)
+            out.add((item.ns, item.name))
         elif ty is Neg:
-            out.append(item)
             stack.append(item.arg)
         elif ty is And or ty is Or or ty is Imp:
-            out.append(item)
             stack.append(item.left)
             stack.append(item.right)
+        elif ty is Struct:
+            stack.append(item.term)
         elif ty is Sequent:
             stack += (*item.antecedent, item.succedent)
         elif ty in _SEQUENCES:
             stack += item
-        else:
-            out.append(item)
-            if ty is Struct:
-                stack.append(item.term)
-    return out
-
-
-def complexity(x) -> int:
-    """Connective count (~, &, |, ->; plus * on structures). Diagnostic only.
-    TypeError on anything _nodes does not take apart, as for the weights."""
-    nodes = _nodes(x)
-    if not all(isinstance(v, (Term, Struct)) for v in nodes):
-        raise TypeError(f"cannot measure {x!r}")
-    return sum(v.star if type(v) is Struct else type(v) not in (Var, _Bottom) for v in nodes)
-
-
-def variables(x) -> frozenset:
-    """The set of (namespace, name) pairs occurring in x."""
-    return frozenset((v.ns, v.name) for v in _nodes(x) if type(v) is Var)
+    return frozenset(out)

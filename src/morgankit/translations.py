@@ -124,7 +124,7 @@ class ClassRegistry:
         return {
             "schema": "morgan-kit/registry/v1",
             "entries": [
-                {"variable": "#" + var.name, "representative": print_term(rep)}
+                {"variable": print_term(var), "representative": print_term(rep)}
                 for rep, var in self.entries
             ],
         }

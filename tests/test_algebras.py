@@ -305,3 +305,12 @@ def test_finite_algebra_record():
         FiniteAlgebra(2, BOOL2.join, BOOL2.meet, (1,))
     with pytest.raises(ValueError, match="negation table"):
         FiniteAlgebra(2, BOOL2.join, BOOL2.meet, (1, -1))
+
+
+def test_algebra_replace_and_make_check_the_tables():
+    a = dm4()
+    with pytest.raises(ValueError, match="size x size"):
+        a._replace(size=9)
+    with pytest.raises(ValueError, match="size x size"):
+        FiniteAlgebra._make((9,) + a[1:])
+    assert a._replace(one=3) == a and FiniteAlgebra._make(list(a)) == a

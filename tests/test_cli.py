@@ -414,6 +414,14 @@ def test_negative_count_is_usage_error():
         assert "--count" in r.stderr and "islice" not in r.stderr, command
 
 
+def test_max_depth_is_not_an_option():
+    # both commands generate at the corpus default depth of 3
+    for command in (["corpus"], ["check-embedding", "--kind", "dm-to-cl-h"]):
+        r = run_cli(*command, "--max-depth", "3")
+        assert r.returncode == 2, command
+        assert "--max-depth" in r.stderr and r.stdout == "", command
+
+
 def test_unreachable_max_weight_is_exit_2_not_a_hang():
     env = dict(os.environ)
     env["PYTHONPATH"] = SRC + os.pathsep + env.get("PYTHONPATH", "")

@@ -11,9 +11,9 @@ from morgankit import (
     And, CalculusMismatchError, ClassRegistry, Derivation, Imp,
     InvalidDerivationError, Neg, Or, Partition, SearchEngine, Var,
     check_derivation, check_derivation_report, check_embedding, derivable,
-    derivable_within_height, derive, dm4, expand, interpolate, k_sequent,
-    min_height, parse_sequent, plain, print_sequent, proof_from_obj,
-    proof_to_obj, render, sequent, starred, variables,
+    derive, dm4, expand, interpolate, k_sequent, parse_sequent, plain,
+    print_sequent, proof_from_obj, proof_to_obj, render, sequent, starred,
+    variables,
 )
 from morgankit.calculi import STAR_FAMILY, iter_g3ip
 from morgankit.corpus import CorpusConfig, derivable_corpus, generate_sequents
@@ -92,27 +92,29 @@ def test_calculus_mismatch_rejected():
 
 
 def test_height_pins():
-    assert derivable_within_height("sdm", parse_sequent("p, q => p", "sdm"), 0)
+    eng = SearchEngine()
+    assert eng.derivable_within_height("sdm", parse_sequent("p, q => p", "sdm"), 0)
     s = parse_sequent("~p => ~p", "sdm")
-    assert not derivable_within_height("sdm", s, 2)
-    assert derivable_within_height("sdm", s, 3)
-    assert min_height("sdm", s) == 3
-    assert derivable_within_height("dm", parse_sequent("~~p => p", "dm"), 1)
-    assert min_height("sdm", parse_sequent("p => q", "sdm")) is None
+    assert not eng.derivable_within_height("sdm", s, 2)
+    assert eng.derivable_within_height("sdm", s, 3)
+    assert eng.min_height("sdm", s) == 3
+    assert eng.derivable_within_height("dm", parse_sequent("~~p => p", "dm"), 1)
+    assert eng.min_height("sdm", parse_sequent("p => q", "sdm")) is None
 
 
 def test_height_monotone():
+    eng = SearchEngine()
     s = parse_sequent("~p & ~q => ~(p | q)", "sdm")
-    n = min_height("sdm", s)
+    n = eng.min_height("sdm", s)
     for k in range(n):
-        assert not derivable_within_height("sdm", s, k)
+        assert not eng.derivable_within_height("sdm", s, k)
     for k in range(n, n + 3):
-        assert derivable_within_height("sdm", s, k)
+        assert eng.derivable_within_height("sdm", s, k)
 
 
 def test_min_height_int():
     s = parse_sequent("p & q => q & p", "int")
-    assert min_height("int", s) == 2  # &L, then &R over two Id axioms
+    assert SearchEngine().min_height("int", s) == 2  # &L, then &R over two Id axioms
 
 
 def test_returned_derivations_check():
@@ -289,7 +291,7 @@ def test_invertible_commits_lose_no_derivation(calc, cfg, starred_succedent):
     assert len(goals) > 900
     assert sum(derivable(calc, s, eng) for s in goals) > 300
     for s in goals:
-        assert derivable_within_height(calc, s, 10**6, eng) == derivable(calc, s, eng), \
+        assert eng.derivable_within_height(calc, s, 10**6) == derivable(calc, s, eng), \
             print_sequent(s)
 
 
@@ -566,7 +568,7 @@ def test_prefilter_variable_cap():
     assert classically_refutable(narrow) is True
     # above the cap search tests each goal on its own variables
     assert derive("int", wide) is None
-    assert min_height("int", wide) is None
+    assert SearchEngine().min_height("int", wide) is None
 
 
 def test_prefilter_subgoal_drops_a_variable():
@@ -653,7 +655,7 @@ def test_identity_goals_once_missed(calc, text):
     d = SearchEngine().derive(calc, goal)
     assert d is not None and d.sequent == goal and check_derivation(calc, d)
     assert d.rule in ("&L", "->R")
-    assert min_height(calc, goal) is not None
+    assert SearchEngine().min_height(calc, goal) is not None
 
 
 def test_derivation_record():
@@ -679,6 +681,15 @@ def test_corpus_config_record():
         CorpusConfig(max_depth=6)
     with pytest.raises(AttributeError):
         cfg.seed = 1
+
+
+def test_corpus_config_replace_and_make_keep_the_cap():
+    cfg = CorpusConfig()
+    with pytest.raises(ValueError, match="capped at 5"):
+        cfg._replace(max_depth=9)
+    with pytest.raises(ValueError, match="capped at 5"):
+        CorpusConfig._make((0, 9, ("p",), 4, 0, 0.35))
+    assert cfg._replace(max_depth=5) == CorpusConfig(max_depth=5)
 
 
 @pytest.mark.parametrize("calc", ["sdm", "dm"])

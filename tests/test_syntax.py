@@ -9,7 +9,7 @@ from hypothesis import example, given, settings, strategies as st
 from morgankit import (
     BOT, And, FiniteAlgebra, Imp, Neg, Or, SearchEngine, Var,
     NamespaceError, ParseError,
-    check_derivation, complexity, dm4, dm_weight, parse_sequent,
+    check_derivation, dm4, dm_weight, parse_sequent,
     parse_term, plain, print_sequent, print_structure, print_term,
     proof_from_obj, proof_to_obj, sdm_weight, sequent, starred,
     sequent_from_obj, sequent_to_obj, term_from_obj, term_to_obj,
@@ -306,12 +306,6 @@ def test_decoders_raise_only_value_error(case):
         decode(obj)
     except ValueError:
         pass
-
-
-def test_complexity_counts_connectives():
-    assert complexity(p) == 0
-    assert complexity(Neg(And(p, q))) == 2
-    assert complexity(starred(Neg(p))) == 2
 
 
 # --- the nesting limit ---------------------------------------------------------
