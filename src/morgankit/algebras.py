@@ -17,8 +17,8 @@ non-theorem in the test corpora, although no claim is made that small
 algebras refute every SDM non-theorem, so proof search remains the decision
 authority.
 
-There is one assignment loop, ``_assignments``: ``valid``, ``refute`` and
-the class-registry screen in ``translations`` all walk it.
+There is one assignment loop, in ``_counterexample``: ``valid`` and
+``refute`` both walk it.
 """
 
 from __future__ import annotations
@@ -225,15 +225,11 @@ def _flatten_for(s: Sequent):
     return t_flatten(s.antecedent), t_flatten(s.succedent)
 
 
-def _assignments(names, size: int):
-    """Every assignment of carrier elements to names, in itertools.product order."""
-    for values in itertools.product(range(size), repeat=len(names)):
-        yield dict(zip(names, values))
-
-
 def _counterexample(lhs: Term, rhs: Term, names, alg: FiniteAlgebra):
-    """The first assignment under which lhs <= rhs fails in alg, or None."""
-    for assignment in _assignments(names, alg.size):
+    """The first assignment under which lhs <= rhs fails in alg, or None;
+    assignments are tried in itertools.product order."""
+    for values in itertools.product(range(alg.size), repeat=len(names)):
+        assignment = dict(zip(names, values))
         a = evaluate(lhs, assignment, alg)
         b = evaluate(rhs, assignment, alg)
         if alg.meet[a][b] != a:

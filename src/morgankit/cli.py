@@ -251,7 +251,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--map", required=True, choices=list(translations.TRANSLATIONS))
     p.add_argument("input")
     p.add_argument("--registry", default=None,
-                   help="sidecar JSON path for k's class-variable registry")
+                   help="sidecar JSON path for k's atoms")
     p.set_defaults(func=_cmd_translate, usage_error=p.error)
 
     p = sub.add_parser("check-embedding", help="embedding agreement report")
@@ -297,8 +297,8 @@ def main(argv=None) -> int:
                 args.usage_error(f"--batch takes no {shown}: it reads sequents "
                                  "from stdin and writes JSON lines")
     if args.command == "translate" and args.registry is not None and args.map != "k":
-        args.usage_error("--registry takes only --map k: it saves the class "
-                         "variables that k introduces")
+        args.usage_error("--registry takes only --map k: it saves the atoms "
+                         "that k introduces")
     try:
         status = args.func(args)
         sys.stdout.flush()

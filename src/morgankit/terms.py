@@ -266,9 +266,9 @@ class Sequent(namedtuple("Sequent", "calculus antecedent succedent")):
     """A sequent: multiset antecedent, single succedent, calculus tag.
 
     A named tuple whose constructor sorts the antecedent by the canonical
-    member order, so two sequents whose antecedents are equal as multisets
-    compare equal, also when made by ``_replace``.  SDM sequents carry Struct
-    members and a Struct succedent; DM, INT and CL sequents carry bare terms.
+    member order, so equal multisets give equal sequents; ``_make`` and
+    ``_replace`` go through ``sequent()``.  SDM sequents carry Struct members
+    and a Struct succedent; DM, INT and CL sequents carry bare terms.
     """
 
     __slots__ = ()
@@ -279,7 +279,7 @@ class Sequent(namedtuple("Sequent", "calculus antecedent succedent")):
 
     @classmethod
     def _make(cls, iterable):
-        return cls(*iterable)
+        return sequent(*iterable)
 
     def without(self, index: int) -> tuple:
         a = self.antecedent

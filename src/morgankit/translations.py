@@ -10,8 +10,8 @@ listing counterexamples verbatim.
 from __future__ import annotations
 
 from collections import namedtuple
+from itertools import combinations
 
-from .algebras import _assignments, enumerate_algebras, evaluate
 from .search import SearchEngine, default_engine
 from .syntax import print_sequent, print_term
 from .terms import (
@@ -66,58 +66,21 @@ nn_sequent = _memberwise(SDM, double_negate)
 
 
 class ClassRegistry:
-    """Representatives of G3SDM-interderivability classes and their variables.
-
-    Lookup walks the stored entries and tests interderivability with two
-    derive calls per candidate, behind a syntactic term cache, so each term
-    meets each representative at most once.  A cheap semantic screen
-    (evaluation in the small enumerated SDM algebras) rejects most
-    non-equivalent pairs before any proof search runs.  Misses insert a
-    fresh class-indexed variable, so variables are assigned in
-    first-encounter order.  The top and bottom classes get no variable: a
-    term equivalent to T maps to T (F -> F) and one equivalent to F maps to
-    F, which keeps the order between them and every other class.
-
+    """k's atoms: each distinct irreducible term gets its own #k atom, in
+    first-encounter order; ``k_sequent`` asks ``engine`` for their order.
     Lookups mutate the registry; share one per translation run and do not
-    write from two threads at once.
-    """
+    write from two threads at once."""
 
     def __init__(self, engine: SearchEngine | None = None):
         self.engine = engine or default_engine()
-        self.entries: list = []            # (representative, Var) in insertion order
+        self.entries: list = []            # (term, Var) in insertion order
         self._by_term: dict = {}
 
-    @staticmethod
-    def _semantically_apart(a: Term, b: Term) -> bool:
-        names = sorted({n for _, n in variables(a) | variables(b)})
-        for alg in enumerate_algebras(SDM, 4):
-            for assign in _assignments(names, alg.size):
-                if evaluate(a, assign, alg) != evaluate(b, assign, alg):
-                    return True
-        return False
-
-    def equivalent(self, a: Term, b: Term) -> bool:
-        if a == b:
-            return True
-        return (not self._semantically_apart(a, b)
-                and self.engine.derivable(SDM, sequent(SDM, [a], b))
-                and self.engine.derivable(SDM, sequent(SDM, [b], a)))
-
     def lookup(self, term: Term) -> Term:
-        v = self._by_term.get(term)
-        if v is not None:
-            return v
-        for const, image in ((TOP_ALG, TOP_IMP), (BOT, BOT)):
-            if self.equivalent(term, const):
-                self._by_term[term] = image
-                return image
-        for rep, var in self.entries:
-            if self.equivalent(term, rep):
-                self._by_term[term] = var
-                return var
-        var = Var(f"k{len(self.entries)}", CLASS)
-        self.entries.append((term, var))
-        self._by_term[term] = var
+        var = self._by_term.get(term)
+        if var is None:
+            var = self._by_term[term] = Var(f"k{len(self.entries)}", CLASS)
+            self.entries.append((term, var))
         return var
 
     def as_obj(self) -> dict:
@@ -131,8 +94,8 @@ class ClassRegistry:
 
 
 def k_to_int(phi: Term, reg: ClassRegistry) -> Term:
-    """SDM term into the intuitionistic language; irreducible ~(a & b) and
-    ~~(a | b) become class variables, one per G3SDM-interderivability class."""
+    """SDM term into the intuitionistic language; each irreducible ~(a & b)
+    and ~~(a | b) becomes the registry's #k atom for that term."""
     if not _avoids(phi, Imp):
         raise ValueError("k is defined on the algebraic language")
     return _k(phi, reg, None)
@@ -146,6 +109,8 @@ def _k(phi: Term, reg: ClassRegistry, bound) -> Term:
     assert bound is None or m < bound, "k recursion measure failed to decrease"
     ty = type(phi)
     if ty is Var:
+        if phi.ns == CLASS:  # k_sequent reads each #ki as the registry's term
+            raise ValueError(f"#k atoms are k's output, not its input: #{phi.name}")
         return phi
     if phi == BOT:
         return BOT
@@ -184,8 +149,46 @@ def _k(phi: Term, reg: ClassRegistry, bound) -> Term:
 
 
 def k_sequent(s: Sequent, reg: ClassRegistry) -> Sequent:
-    """Memberwise image of an SDM sequent; a starred member reads as ~."""
-    return _memberwise(INT, lambda m: _k(t_flatten(m), reg, None))(s)
+    """Memberwise image of an SDM sequent; a starred member reads as ~.
+
+    An image with #k atoms also gets the order between its atoms as
+    hypotheses in its antecedent.  With rep(p') = ~p, rep(p'') = ~~p and
+    rep(#ki) the registry's i-th term, a #k atom x gets ``x`` when G3SDM
+    derives => rep(x) and ``x -> F`` when it derives rep(x) => F; atoms with
+    a #k atom among them get ``x -> z`` when it derives rep(x) => rep(z),
+    and ``x & y -> z`` when it derives rep(x), rep(y) => rep(z) and neither
+    x -> z nor y -> z was added.
+
+    Soundness: in a finite SDM countermodel of the source the lattice is
+    finite and distributive, hence Heyting.  Give each atom its rep's value.
+    G3SDM is sound, so every hypothesis is 1; k's rewrites are SDM
+    identities, so the image fails there, and G3ip does not derive it.
+    """
+    image = _memberwise(INT, lambda m: _k(t_flatten(m), reg, None))(s)
+    names = variables(image)
+    if all(ns != CLASS for ns, _ in names):
+        return image
+    atoms = sorted((Var(name, ns) for ns, name in names), key=Term.key)
+    rep = {BOT: BOT}
+    for a in atoms:
+        if a.ns == CLASS:
+            rep[a] = reg.entries[int(a.name[1:])][0]
+        else:
+            p = Var(a.name)
+            rep[a] = Neg(p) if a.ns == PRIMED else Neg(Neg(p)) if a.ns == DOUBLED else p
+
+    def derives(ants, goal):
+        return reg.engine.derivable(SDM, sequent(SDM, [rep[a] for a in ants], rep[goal]))
+
+    hyps = [x for x in atoms if x.ns == CLASS and derives([], x)]
+    hyps += [Imp(x, BOT) for x in atoms if x.ns == CLASS and derives([x], BOT)]
+    below = {z: [x for x in atoms if x is not z and CLASS in (x.ns, z.ns)
+                 and derives([x], z)] for z in atoms}
+    hyps += [Imp(x, z) for z in atoms for x in below[z]]
+    hyps += [Imp(And(x, y), z) for x, y in combinations(atoms, 2) for z in atoms
+             if z is not x and z is not y and CLASS in (x.ns, y.ns, z.ns)
+             and x not in below[z] and y not in below[z] and derives([x, y], z)]
+    return sequent(INT, image.antecedent + tuple(hyps), image.succedent)
 
 
 def h_to_cl(phi: Term) -> Term:
@@ -249,7 +252,7 @@ TRANSLATIONS = {
 def translate(name: str, x, registry: ClassRegistry | None = None):
     """The image of a term (a structure, for t) or a sequent under one map;
     a sequent must be of the map's source calculus.  Only k reads the
-    registry: it names its class atoms there.
+    registry: it names its #k atoms there.
     """
     source, on_term, on_sequent = TRANSLATIONS[name]
     if isinstance(x, Sequent) and x.calculus != source:

@@ -182,8 +182,16 @@ def test_translate_k_writes_registry(tmp_path):
     assert obj["entries"][0]["representative"] == "~~(p | q)"
 
 
+def test_translate_k_prints_atoms_and_hypotheses():
+    # a term that is 1 in every SDM algebra maps to an atom, not to T
+    r = run_cli("translate", "--map", "k", "~(p & F)")
+    assert (r.returncode, r.stdout) == (0, "#k0\n")
+    r = run_cli("translate", "--map", "k", "*~~~q => *~(q | (r | r))")
+    assert (r.returncode, r.stdout) == (0, "q'', q'' -> #k0 => #k0\n")
+
+
 def test_registry_needs_map_k(tmp_path):
-    # only k introduces class variables; with another map nothing is saved
+    # only k introduces atoms; with another map nothing is saved
     reg = tmp_path / "registry.json"
     for mapping, text in (("f", "p => q"), ("t", "*p => q"), ("nn", "~p")):
         r = run_cli("translate", "--map", mapping, text, "--registry", str(reg))

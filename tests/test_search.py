@@ -169,8 +169,8 @@ def test_render_latex_star_family():
 
 # SHA-256 of render(d, "ascii") and render(d, "latex") over seeded derivations
 # in all four calculi, then over the derivable k images (in G3ip) that carry
-# #k class atoms.
-RENDER_SHA256 = (502, 11, "ea04af6e597f0dd443ea6c2dee83c8d887d46826fd67f8954232d4db7b4d42dc")
+# #k atoms.
+RENDER_SHA256 = (514, 17, "9cdea43b958ed94b3f6c6fdc37cac43ed58f7ca9693e6d726901a4b5b4699874")
 
 
 def test_render_pinned_by_digest():

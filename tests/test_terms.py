@@ -146,6 +146,19 @@ def test_sequent_replace_and_make_stay_canonical():
     assert swapped == s and swapped.antecedent == (p, q)
     assert Sequent._make(("dm", [q, p], p)) == s
 
+
+def test_sequent_replace_checks_the_members():
+    # _replace goes through sequent(): bare terms become plain SDM members,
+    # and a starred member is no INT member
+    from morgankit import derivable, parse_sequent
+    s = parse_sequent("p => p", "dm")._replace(calculus="sdm")
+    assert s == parse_sequent("p => p", "sdm") and derivable("sdm", s)
+    with pytest.raises(ValueError, match="int sequents carry no starred members"):
+        parse_sequent("*p => p", "sdm")._replace(calculus="int")
+    with pytest.raises(ValueError, match="unknown calculus"):
+        parse_sequent("p => p", "dm")._replace(calculus="g3dm")
+
+
 _NS_RANK = {"base": 0, "primed": 1, "doubled": 2, "class": 3}
 _RANK = {And: 3, Or: 4, Imp: 5}
 

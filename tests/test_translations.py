@@ -1,5 +1,6 @@
 import hashlib
 import json
+from collections import Counter
 
 import pytest
 
@@ -7,7 +8,7 @@ from morgankit import (
     BOT, TOP_ALG, TOP_IMP, And, ClassRegistry, Imp, Neg, Or, SearchEngine, Var,
     check_derivation, check_embedding, dm_weight, double_negate,
     f_godel_gentzen, f_sequent, g_glivenko, h_sequent, h_to_cl, k_sequent, k_to_int,
-    parse_sequent, plain, print_sequent, print_term, sequent,
+    parse_sequent, plain, print_sequent, print_term, refute, sequent,
     starred, t_flatten,
 )
 from morgankit.calculi import STAR_FAMILY
@@ -73,25 +74,48 @@ def test_k_measure_falls_on_rewrites(before, after):
     k_to_int(before, ClassRegistry())  # _k's own assertion checks every call
 
 
-def test_k_class_variables_respect_equivalence():
+def test_k_rewrites_share_atoms():
     reg = ClassRegistry()
     a = k_to_int(Neg(And(Neg(p), Neg(q))), reg)
     b = k_to_int(Neg(Neg(Or(p, q))), reg)
     assert a == b == Var("k0", "class")
-    # a distinct class gets a distinct variable
+    # a distinct irreducible term gets a distinct atom
     c = k_to_int(Neg(And(p, q)), reg)
     assert c == Var("k1", "class")
-    # interderivable with an earlier representative: reuse, in encounter order
+    # _k rewrites this one to ~~(p | q), so it reuses k0
     d = k_to_int(Neg(And(Neg(Neg(Neg(p))), Neg(Neg(Neg(q))))), reg)
     assert d == a
     assert [v.name for _, v in reg.entries] == ["k0", "k1"]
 
 
-def test_k_maps_top_class_to_top():
+def test_k_gives_a_top_term_an_atom_and_a_unit_hypothesis():
+    # ~(p & F) is 1 in every SDM algebra: it gets an atom like any other
+    # irreducible term, and an image that holds it states the atom outright
     reg = ClassRegistry()
-    assert k_to_int(Neg(And(p, BOT)), reg) == TOP_IMP  # ~(p & F) = ~F
-    assert k_to_int(Neg(Neg(Or(Neg(BOT), p))), reg) == TOP_IMP  # ~~(T | p) = T
-    assert reg.entries == []
+    assert print_term(translate("k", Neg(And(p, BOT)), reg)) == "#k0"
+    image = k_sequent(parse_sequent("=> ~(p & F)", "sdm"), reg)
+    assert print_sequent(image) == "#k0 => #k0"
+    assert [print_term(t) for t, _ in reg.entries] == ["~(p & F)"]
+
+
+def test_k_hypotheses_order_the_atoms():
+    # ~~q <= ~~(q | (r | r)) in every SDM algebra; without q'' -> #k0 the
+    # image would not derive
+    eng = SearchEngine()
+    s = parse_sequent("*~~~q => *~(q | (r | r))", "sdm")
+    image = k_sequent(s, ClassRegistry(eng))
+    assert print_sequent(image) == "q'', q'' -> #k0 => #k0"
+    assert eng.derivable("sdm", s) and eng.derivable("int", image)
+
+
+def test_k_rejects_its_own_atoms_as_input():
+    # a #k0 in the source would read as the registry's own atom, so that
+    # #k0 => ~~(p | q) would map to the derivable #k0 => #k0
+    reg = ClassRegistry()
+    k_to_int(Neg(Neg(Or(p, q))), reg)
+    s = sequent("sdm", [Var("k0", "class")], Neg(Neg(Or(p, q))))
+    with pytest.raises(ValueError, match="#k atoms are k's output, not its input: #k0"):
+        k_sequent(s, reg)
 
 
 def test_k_registry_sidecar():
@@ -113,8 +137,8 @@ def test_k_on_sequents_reads_stars_as_negation():
 # registry, then of the registry's JSON, and the same for the k(f(.)) images
 # that the diagram kind derives.
 K_IMAGES_SHA256 = {
-    "k": (26, "ba1278183f05b052f7f6c002aab984c9e78620f2cc59d55ca60528f926f33bc4"),
-    "diagram": (61, "edfb306ecb69fa7ce90d30f2dcf9f8a66d6db10c674db9109af56ccaca399a44"),
+    "k": (56, "8acf1c6cdb38fa154f127c6b23b1563d5666bae351988c1f0678e3c585e83c4b"),
+    "diagram": (143, "c043cf154de381d595ac879e094bf85dcb9acebb650810347bbd6afbad8ccb86"),
 }
 
 
@@ -131,6 +155,34 @@ def test_k_images_pinned_by_digest():
     lines.append(json.dumps(reg.as_obj(), sort_keys=True))
     digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
     assert (len(reg.entries), digest) == K_IMAGES_SHA256["diagram"]
+
+
+def test_k_hypotheses_hold_in_small_sdm_algebras():
+    # each hypothesis that k_sequent adds on criterion 8's corpora, read back
+    # as the SDM sequent it stands for, holds in every SDM algebra of size
+    # <= 6: a semantic check that shares no code with proof search
+    reg = ClassRegistry()
+    cfg = dict(max_depth=3, max_antecedent=4)
+    dm = generate_sequents("dm", 300, CorpusConfig(seed=801, **cfg), max_weight=20)
+    sdm = generate_sequents("sdm", 300, CorpusConfig(seed=802, **cfg), max_weight=20)
+    hyps = set()
+    for s in sdm + [f_sequent(d) for d in dm]:
+        members = Counter(k_to_int(t_flatten(m), reg) for m in s.antecedent)
+        hyps |= set(Counter(k_sequent(s, reg).antecedent) - members)
+    rep = {BOT: BOT, **{v: t for t, v in reg.entries}}
+    for v in (p, q, r):
+        rep.update({v: v, Var(v.name, "primed"): Neg(v), Var(v.name, "doubled"): Neg(Neg(v))})
+    readings = set()
+    for h in hyps:
+        if type(h) is Var:
+            ants, goal = [], h
+        elif type(h.left) is And:
+            ants, goal = [h.left.left, h.left.right], h.right
+        else:
+            ants, goal = [h.left], h.right
+        readings.add(sequent("sdm", [rep[a] for a in ants], rep[goal]))
+    assert all(refute(s, "sdm", 6) is None for s in readings)
+    assert len(readings) == 145
 
 
 def test_h_clauses():
@@ -216,7 +268,6 @@ def test_star_rule_blocks_full_cut():
     assert d is not None and check_derivation("sdm", d)
     assert _rules(d) & STAR_FAMILY
     assert eng.min_height("sdm", conclusion) is not None  # exhaustive enumeration
-    from morgankit import refute
     assert refute(conclusion, "sdm", 5) is None  # valid in small algebras
 
 
@@ -230,14 +281,13 @@ def test_star_rule_blocks_f_embedding_occasionally():
 
 
 def test_k_embedding_fails_on_top_class():
-    # ~~(~F | ~~r) lies in the top class; k maps it to T instead of an
-    # opaque class variable, so the image derives as the source does
+    # ~~(~F | ~~r) lies in the top class; k gives it an atom, and the unit
+    # hypothesis #k0 lets the image derive as the source does
     eng = SearchEngine()
     s = parse_sequent("~~q => ~~(~F | ~~r)", "sdm")
     assert eng.derivable("sdm", s)
-    reg = ClassRegistry(eng)
-    image = k_sequent(s, reg)
-    assert image.succedent == TOP_IMP and reg.entries == []
+    image = k_sequent(s, ClassRegistry(eng))
+    assert print_sequent(image) == "q'', #k0, q'' -> #k0 => #k0"
     d = eng.derive("int", image)
     assert d is not None and check_derivation("int", d)
 
@@ -257,7 +307,6 @@ def test_or_of_negations_direction():
 
 
 def test_or_of_negations_is_a_dm_fact_not_an_sdm_one():
-    from morgankit import refute
     eng = SearchEngine()
     src = parse_sequent("p, q => p & (q & q)", "dm")
     assert eng.derivable("dm", src)
