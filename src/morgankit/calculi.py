@@ -67,8 +67,14 @@ def _replace(goal: Sequent, index: int, members) -> Sequent:
     return Sequent(goal.calculus, rest + tuple(members), goal.succedent)
 
 
+def _canonical(calculus: str, ants: tuple, succ) -> Sequent:
+    """A sequent over an antecedent already in canonical order, such as a
+    goal's own: it is neither sorted nor copied."""
+    return tuple.__new__(Sequent, (calculus, ants, succ))
+
+
 def _with_succ(goal: Sequent, succ) -> Sequent:
-    return Sequent(goal.calculus, goal.antecedent, succ)
+    return _canonical(goal.calculus, goal.antecedent, succ)
 
 
 # Rule labels search may commit to eagerly: inverting them preserves both
@@ -180,10 +186,12 @@ def iter_g3sdm(goal: Sequent) -> Iterator[RuleInstance]:
     # phi => psi infer *psi, Gamma => *phi
     if succ.star:
         yield from _star_family(goal)
+        phi = None
         for i, m in enumerate(ants):
             if m.star:
-                premiss = Sequent(SDM, (plain(st),), plain(m.term))
-                yield RuleInstance("*", (premiss,), i)
+                if phi is None:
+                    phi = (plain(st),)
+                yield RuleInstance("*", (_canonical(SDM, phi, plain(m.term)),), i)
 
 
 def _star_family(goal: Sequent) -> Iterator[RuleInstance]:
@@ -194,11 +202,12 @@ def _star_family(goal: Sequent) -> Iterator[RuleInstance]:
     where *phi is the goal's succedent.
     """
     ants = goal.antecedent
+    phi = (goal.succedent.term,)
     stars = [i for i, m in enumerate(ants) if m.star]
     for bits in range((1 << len(stars)) - 1, -1, -1):
         used = [i for j, i in enumerate(stars) if bits >> j & 1]
         disjunction = fold(Or, [ants[i].term for i in used], BOT)
-        premisses = (Sequent(DM, (goal.succedent.term,), disjunction),)
+        premisses = (_canonical(DM, phi, disjunction),)
         if not used:
             yield RuleInstance("*0", premisses, -1)
         elif len(used) == 1:

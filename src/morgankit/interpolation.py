@@ -170,11 +170,12 @@ def _split(node: Derivation, tree):
     return parts[0] if len(parts) == 1 else Or(*parts)
 
 
-def _obligations(calculus: str, goal: Sequent, part: Partition, candidate):
+def _obligations(build, calculus: str, goal: Sequent, part: Partition, candidate):
     """The two sequents an interpolant must make derivable: left => I and
-    I, right => succedent."""
-    return (sequent(calculus, part.left, candidate),
-            sequent(calculus, part.right + (candidate,), goal.succedent))
+    I, right => succedent, each made by ``build`` (``Sequent``, or
+    ``sequent`` to check the members' language)."""
+    return (build(calculus, part.left, candidate),
+            build(calculus, part.right + (candidate,), goal.succedent))
 
 
 def interpolate(calculus: str, d: Derivation, part: Partition,
@@ -189,8 +190,9 @@ def interpolate(calculus: str, d: Derivation, part: Partition,
     left = _sides_for(d.sequent, part)
     candidate = _extract(d, left, calculus == SDM)
     eng = engine or default_engine()
+    # the replayed derivation and _sides_for fix the members' language
     left_d, right_d = (eng.derive(calculus, g)
-                       for g in _obligations(calculus, d.sequent, part, candidate))
+                       for g in _obligations(Sequent, calculus, d.sequent, part, candidate))
     if left_d is None or right_d is None:
         raise AssertionError("extracted interpolant failed an obligation")
     return InterpolationResult(candidate, left_d, right_d)
@@ -202,7 +204,7 @@ def verify_interpolant(calculus: str, goal: Sequent, part: Partition, candidate,
     calculus = normalize_calculus(calculus)
     try:   # a partition of another goal, or a candidate outside the language
         _sides_for(goal, part)
-        obligations = _obligations(calculus, goal, part, candidate)
+        obligations = _obligations(sequent, calculus, goal, part, candidate)
     except (ValueError, TypeError):
         return False
     eng = engine or default_engine()

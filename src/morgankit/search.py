@@ -84,7 +84,7 @@ PROOF_SCHEMA = "morgan-kit/proof/v1"
 _BIG = 1 << 60
 
 # A store clears the memo once it holds this many entries.  A 20,000-goal
-# run per calculus ends below 100,000, and an entry takes 296-525 bytes.
+# run per calculus ends below 100,000, and an entry takes 268-466 bytes.
 _MEMO_CAP = 1 << 19
 
 _CALCULUS_ALIASES = {
@@ -414,15 +414,34 @@ def derivable(calculus: str, goal: Sequent, engine: SearchEngine | None = None):
 
 # -- derivation checking -------------------------------------------------
 
+# The last derivation check_derivation_report accepted.  A tree whose
+# children are all tuples is immutable all the way down, so the same object
+# replays the same way again: interpolate after check_derivation, or render
+# after a check, does not replay it a second time.
+_accepted = None
+
+
 def check_derivation_report(calculus: str, d: Derivation):
     """(ok, diagnostic); the diagnostic names the first bad node by its JSON
-    path, as ``proof_from_obj`` does."""
+    path, as ``proof_from_obj`` does.
+
+    The last derivation accepted is kept, and accepted again at once, until
+    the next accepted check replaces it.
+    """
+    global _accepted
     calculus = normalize_calculus(calculus)
     if calculus != d.sequent.calculus:
         return False, (f"derivation: sequent tagged {d.sequent.calculus}, "
                        f"expected {calculus}")
-    bad = _first_bad(d, set())
-    return (bad is None), ("derivation" + bad if bad else "ok")
+    if d is _accepted:
+        return True, "ok"
+    checked = set()
+    bad = _first_bad(d, checked)
+    if bad:
+        return False, "derivation" + bad
+    if None not in checked:
+        _accepted = d
+    return True, "ok"
 
 
 def _first_bad(node: Derivation, checked: set) -> str | None:
@@ -431,7 +450,8 @@ def _first_bad(node: Derivation, checked: set) -> str | None:
 
     The path is built only on the way back up from a failing node.
     ``checked`` holds the ids of nodes already replayed, so a subtree shared
-    by several parents is replayed once.
+    by several parents is replayed once; it holds None as well when some
+    node's children are not a tuple, so the tree could still change.
     """
     if id(node) in checked:
         return None
@@ -450,7 +470,7 @@ def _first_bad(node: Derivation, checked: set) -> str | None:
         bad = _first_bad(c, checked)
         if bad:
             return f".premisses[{i}]{bad}"
-    checked.add(id(node))
+    checked.add(id(node) if type(node.children) is tuple else None)
     return None
 
 

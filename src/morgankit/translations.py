@@ -15,7 +15,7 @@ from itertools import combinations
 from .search import SearchEngine, default_engine
 from .syntax import print_sequent, print_term
 from .terms import (
-    BOT, CL, CLASS, DM, INT, PRIMED, DOUBLED, SDM, TOP_ALG, TOP_IMP,
+    BASE, BOT, CL, CLASS, DM, INT, PRIMED, DOUBLED, SDM, TOP_ALG, TOP_IMP,
     And, Imp, Neg, Or, Sequent, Term, Var,
     _avoids, _members, dm_weight, fold, plain, sequent, t_flatten, variables,
 )
@@ -109,8 +109,11 @@ def _k(phi: Term, reg: ClassRegistry, bound) -> Term:
     assert bound is None or m < bound, "k recursion measure failed to decrease"
     ty = type(phi)
     if ty is Var:
-        if phi.ns == CLASS:  # k_sequent reads each #ki as the registry's term
-            raise ValueError(f"#k atoms are k's output, not its input: #{phi.name}")
+        # k writes p' for ~p, p'' for ~~p and #ki for the registry's terms,
+        # and k_sequent reads each back as that term
+        if phi.ns != BASE:
+            what = "#k atoms" if phi.ns == CLASS else f"{phi.ns} variables"
+            raise ValueError(f"{what} are k's output, not its input: {print_term(phi)}")
         return phi
     if phi == BOT:
         return BOT

@@ -54,6 +54,32 @@ def test_g3sdm_star_family_instances():
     assert not _labels(expand(parse_sequent("*q => p", "sdm"))) & {"*0", "*1", "*n"}
 
 
+def test_right_rule_premisses_share_the_goal_antecedent():
+    # the premisses of =>|1, of =>& and of |R1, and the first one of ->L
+    for text, calc, labels, n in (("q & r, *p => p | q", "sdm", ("=>|1",), 1),
+                                  ("~p, q | r => p & q", "dm", ("=>&",), 2),
+                                  ("p -> q, r => p | q", "int", ("|R1", "->L"), 2)):
+        goal = parse_sequent(text, calc)
+        shared = [pm for inst in expand(goal) if inst.label in labels
+                  for pm in inst.premisses[:1 if inst.label == "->L" else 2]]
+        assert len(shared) == n
+        for pm in shared:
+            assert pm.antecedent is goal.antecedent
+            assert pm == sequent(calc, goal.antecedent, pm.succedent)
+            assert type(pm) is type(goal)
+
+
+def test_star_family_premisses_share_one_antecedent():
+    goal = parse_sequent("*q, *r, p => *s", "sdm")
+    family = [i.premisses[0] for i in expand(goal) if i.label in ("*0", "*1", "*n")]
+    assert len(family) == 4
+    assert all(pm.antecedent is family[0].antecedent for pm in family)
+    goal = parse_sequent("*q, *r => *s", "sdm")
+    star = [i.premisses[0] for i in expand(goal) if i.label == "*"]
+    assert [pm.succedent for pm in star] == [plain(q), plain(r)]
+    assert star[0].antecedent is star[1].antecedent == (plain(Var("s")),)
+
+
 def test_g3dm_axioms_and_rules():
     assert "Id2" in _labels(expand(parse_sequent("~p, q => ~p", "dm")))
     goal = parse_sequent("~~p => p", "dm")

@@ -8,12 +8,12 @@ import tracemalloc
 import pytest
 
 from morgankit import (
-    And, CalculusMismatchError, ClassRegistry, Derivation, Imp,
+    BOT, And, CalculusMismatchError, ClassRegistry, Derivation, Imp,
     InvalidDerivationError, Neg, Or, Partition, SearchEngine, Var,
     check_derivation, check_derivation_report, check_embedding, derivable,
     derive, dm4, expand, interpolate, k_sequent, parse_sequent, plain,
     print_sequent, proof_from_obj, proof_to_obj, render, sequent, starred,
-    variables,
+    variables, verify_interpolant,
 )
 from morgankit.calculi import STAR_FAMILY, iter_g3ip
 from morgankit.corpus import CorpusConfig, derivable_corpus, generate_sequents
@@ -136,6 +136,58 @@ def test_check_rejects_corruption():
         parse_sequent("q => p", "sdm"), "Id", None, (), 0)
     bad = Derivation(d.sequent, d.rule, d.principal, (corrupted_child,), d.height)
     assert not check_derivation("sdm", bad)
+
+
+def test_check_rejects_a_tampered_copy_of_an_accepted_derivation():
+    # the check remembers the derivation it last accepted; a new object with
+    # the same sequent is replayed, not taken for the accepted one
+    d = derive("sdm", parse_sequent("p, q & r => p & q", "sdm"))
+    assert check_derivation("sdm", d) and (d.rule, d.principal) == ("&=>", 1)
+    part = Partition.of(d.sequent.antecedent[:1], d.sequent.antecedent[1:])
+    for tampered in (Derivation(d.sequent, d.rule, 0, d.children, d.height),
+                     Derivation(d.sequent, d.rule, d.principal, d.children, d.height + 1)):
+        assert not check_derivation("sdm", tampered)
+        with pytest.raises(ValueError, match="derivation fails checking"):
+            interpolate("sdm", tampered, part)
+    assert check_derivation("sdm", d)
+
+
+def test_check_under_another_calculus_fails_after_acceptance():
+    d = derive("sdm", parse_sequent("p & q => p", "sdm"))
+    assert check_derivation("sdm", d)
+    for calc in ("dm", "int", "cl"):
+        assert check_derivation_report(calc, d) == (
+            False, f"derivation: sequent tagged sdm, expected {calc}")
+    assert check_derivation("g3sdm", d)
+
+
+def test_accepted_derivation_is_not_replayed_again(monkeypatch):
+    import morgankit.search as search
+    d = derive("sdm", parse_sequent("*q, *r => *(p & (q | r))", "sdm"))
+    axiom = derive("sdm", parse_sequent("p => p", "sdm"))
+    assert check_derivation("sdm", d)
+    calls = []
+    real = search.iter_instances
+    monkeypatch.setattr(search, "iter_instances", lambda g: calls.append(g) or real(g))
+    assert check_derivation_report("sdm", d) == (True, "ok")
+    render(d, "ascii")
+    assert calls == []
+    # a tree with a list of children could still change, so it is replayed
+    # at every check
+    listed = Derivation(axiom.sequent, axiom.rule, axiom.principal, [], 0)
+    assert check_derivation("sdm", listed) and check_derivation("sdm", listed)
+    assert len(calls) == 2
+
+
+def test_verify_rejects_a_candidate_outside_the_language():
+    # interpolate builds its obligations unchecked, verify_interpolant does not
+    for calc in ("sdm", "dm"):
+        s = parse_sequent("p, q => p", calc)
+        part = Partition.of([s.antecedent[0]], [s.antecedent[1]])
+        for candidate in (Imp(Var("p"), Var("p")), Imp(Var("q"), BOT)):
+            if calc == "sdm":
+                candidate = plain(candidate)
+            assert verify_interpolant(calc, s, part, candidate) is False
 
 
 def test_render_ascii_axiom():

@@ -118,6 +118,19 @@ def test_k_rejects_its_own_atoms_as_input():
         k_sequent(s, reg)
 
 
+def test_k_rejects_primed_and_doubled_variables_as_input():
+    # k writes p' for ~p and p'' for ~~p, so p' => ~p would map to the
+    # derivable p' => p', though a 3-element SDM algebra refutes it
+    for ns, printed in (("primed", "p'"), ("doubled", "p''")):
+        s = sequent("sdm", [Var("p", ns)], Neg(p))
+        assert refute(s, "sdm", 3) is not None
+        with pytest.raises(ValueError, match=f"{ns} variables are k's output, "
+                                             f"not its input: {printed}$"):
+            k_sequent(s, ClassRegistry())
+        with pytest.raises(ValueError, match="k's output"):
+            k_to_int(And(p, Var("p", ns)), ClassRegistry())
+
+
 def test_k_registry_sidecar():
     reg = ClassRegistry()
     k_to_int(Neg(Neg(Or(p, q))), reg)
