@@ -6,6 +6,8 @@ instances plus one instance per applicable (rule, principal occurrence)
 pair; an instance does not store its conclusion, the goal.  Left rules are
 instantiated per occurrence, not per distinct member; the calculi are
 contraction-free, so duplicated antecedent members matter.
+``g3ip_premisses(goal, label, principal)`` builds the premisses of one G3ip
+instance, named by its label and principal, without enumerating the others.
 
 ``principal`` is the index of the principal occurrence in the (canonically
 sorted) antecedent, ``-1`` when the succedent is principal, and ``None`` for
@@ -338,6 +340,49 @@ def iter_g3ip(goal: Sequent) -> Iterator[RuleInstance]:
                 "Gem-at",
                 (Sequent(CL, ants + (v,), succ),
                  Sequent(CL, ants + (Imp(v, BOT),), succ)), None)
+
+
+def g3ip_premisses(goal: Sequent, label: str, principal) -> tuple | None:
+    """The premisses of the one G3ip instance at an INT or CL goal with this
+    label and principal, as ``iter_g3ip`` yields them; None when the goal
+    has no such instance.
+
+    Gem-at gets None too: its principal is None at every variable, so its
+    label and principal do not name one instance.
+    """
+    if goal.calculus not in (INT, CL):
+        raise CalculusMismatchError(f"expected an INT or CL goal, got {goal.calculus}")
+    ants = goal.antecedent
+    succ = goal.succedent
+    if principal is None:
+        if label == "Id":
+            return () if type(succ) is Var and succ in ants else None
+        if label == "BotL":
+            return () if BOT in ants else None
+        return None
+    if principal == -1:
+        ty = type(succ)
+        if ty is Imp and label == "->R":
+            return (Sequent(goal.calculus, ants + (succ.left,), succ.right),)
+        if ty is And and label == "&R":
+            return (_with_succ(goal, succ.left), _with_succ(goal, succ.right))
+        if ty is Or:
+            if label == "|R1":
+                return (_with_succ(goal, succ.left),)
+            if label == "|R2":
+                return (_with_succ(goal, succ.right),)
+        return None
+    if type(principal) is not int or not 0 <= principal < len(ants):
+        return None
+    t = ants[principal]
+    ty = type(t)
+    if ty is And and label == "&L":
+        return (_replace(goal, principal, (t.left, t.right)),)
+    if ty is Or and label == "|L":
+        return (_replace(goal, principal, (t.left,)), _replace(goal, principal, (t.right,)))
+    if ty is Imp and label == "->L":
+        return (_with_succ(goal, t.left), _replace(goal, principal, (t.right,)))
+    return None
 
 
 def iter_instances(goal: Sequent) -> Iterator[RuleInstance]:

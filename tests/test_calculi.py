@@ -4,7 +4,7 @@ from morgankit import (
     BOT, CalculusMismatchError, Or, Var,
     dm_weight, expand, parse_sequent, plain, sdm_weight, sequent, starred,
 )
-from morgankit.calculi import iter_g3ip, iter_g3sdm
+from morgankit.calculi import g3ip_premisses, iter_g3ip, iter_g3sdm
 from morgankit.corpus import CorpusConfig, generate_sequents
 
 p, q, r = Var("p"), Var("q"), Var("r")
@@ -126,6 +126,8 @@ def test_calculus_tag_checked():
         list(iter_g3sdm(parse_sequent("p => p", "dm")))
     with pytest.raises(CalculusMismatchError):
         list(iter_g3ip(parse_sequent("p => p", "dm")))
+    with pytest.raises(CalculusMismatchError):
+        g3ip_premisses(parse_sequent("p => p", "dm"), "Id", None)
 
 
 def test_occurrence_completeness():
@@ -140,6 +142,26 @@ def test_occurrence_completeness():
 def _goals(calculus, count, seed, max_weight=None):
     cfg = CorpusConfig(seed=seed, max_depth=3, max_antecedent=4)
     return generate_sequents(calculus, count, cfg, max_weight=max_weight)
+
+
+G3IP_LABELS = ("Id", "BotL", "&L", "&R", "|L", "|R1", "|R2", "->L", "->R", "Gem-at")
+
+
+@pytest.mark.parametrize("calc", ["int", "cl"])
+def test_g3ip_premisses_agree_with_iter_g3ip(calc):
+    # the builder gives every non-Gem-at instance iter_g3ip yields, and None
+    # for every other label and principal, a negative one included
+    goals = [g for seed in (1, 2) for g in generate_sequents(calc, 150, CorpusConfig(seed=seed))]
+    goals += [pm for g in goals for inst in iter_g3ip(g) for pm in inst.premisses]
+    seen = set()
+    for goal in goals:
+        want = {(i.label, i.principal): i.premisses
+                for i in iter_g3ip(goal) if i.label != "Gem-at"}
+        for label in G3IP_LABELS:
+            for principal in (None, -2, -1, *range(len(goal.antecedent) + 1)):
+                assert g3ip_premisses(goal, label, principal) == want.get((label, principal))
+        seen.update(label for label, _ in want)
+    assert seen == set(G3IP_LABELS) - {"Gem-at"}
 
 
 def test_weight_decrease_sdm():

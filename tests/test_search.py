@@ -1,5 +1,6 @@
 import gc
 import hashlib
+import inspect
 import itertools
 import json
 import pathlib
@@ -7,6 +8,7 @@ import tracemalloc
 
 import pytest
 
+from morgankit import terms
 from morgankit import (
     BOT, And, CalculusMismatchError, ClassRegistry, Derivation, Imp,
     InvalidDerivationError, Neg, Or, Partition, SearchEngine, Var,
@@ -150,6 +152,29 @@ def test_check_rejects_a_tampered_copy_of_an_accepted_derivation():
         with pytest.raises(ValueError, match="derivation fails checking"):
             interpolate("sdm", tampered, part)
     assert check_derivation("sdm", d)
+
+
+def test_check_rejects_tampered_copies_of_accepted_g3ip_derivations():
+    # a G3ip node replays through the one instance its label and principal
+    # name; a Gem-at node, whose principal is None, through the scan
+    imp = derive("int", parse_sequent("p -> q, p => q", "int"))
+    disj = derive("int", parse_sequent("p => p | q", "int"))
+    gem = derive("cl", parse_sequent("=> p | ~p", "cl"))
+    assert (imp.rule, imp.principal, disj.rule, gem.rule) == ("->L", 1, "|R1", "Gem-at")
+    q = Var("q")
+    at_q = tuple(Derivation(sequent("cl", [m], gem.sequent.succedent), "Id", None, (), 0)
+                 for m in (q, Imp(q, BOT)))
+    for calc, d, tampered, rule, principal in (
+            ("int", imp, imp._replace(principal=2), "->L", 2),
+            ("int", imp, imp._replace(principal=-2), "->L", -2),
+            ("int", disj, disj._replace(rule="|R2"), "|R2", -1),
+            ("int", imp, imp._replace(children=imp.children[::-1]), "->L", 1),
+            ("cl", gem, gem._replace(children=at_q, height=1), "Gem-at", None)):
+        assert check_derivation(calc, d)
+        assert check_derivation_report(calc, tampered) == (False, (
+            f"derivation: no {rule} instance with principal {principal} "
+            "matches the recorded premisses"))
+        assert not check_derivation(calc, tampered)
 
 
 def test_check_under_another_calculus_fails_after_acceptance():
@@ -493,14 +518,21 @@ def test_height_queries_retain_nothing(calc, max_weight):
     for g in goals:
         eng.derive(calc, g)
     gc.collect()
+    # the intern table's own table may still grow in the window, by how much
+    # depends on what earlier tests interned; only that statement's
+    # allocations are left out, while nodes, entries and keys still count
+    lines, first = inspect.getsourcelines(terms._publish)
+    store = first + next(i for i, line in enumerate(lines) if "_REFS[key] = entry" in line)
+    own_table = [tracemalloc.Filter(False, terms.__file__, store)]
     tracemalloc.start()
     try:
-        before = tracemalloc.get_traced_memory()[0]
+        before = tracemalloc.take_snapshot().filter_traces(own_table)
         queries(eng)
         gc.collect()
-        retained = tracemalloc.get_traced_memory()[0] - before
+        after = tracemalloc.take_snapshot().filter_traces(own_table)
     finally:
         tracemalloc.stop()
+    retained = sum(stat.size_diff for stat in after.compare_to(before, "filename"))
     assert retained < 64 * 1024
 
 
