@@ -80,7 +80,8 @@ def _with_succ(goal: Sequent, succ) -> Sequent:
 
 
 # Rule labels search may commit to eagerly: inverting them preserves both
-# derivability and refutability, which keeps the explored tree small.
+# derivability and refutability, which keeps the explored tree small.  A label
+# shared by two calculi is invertible in both, so one set serves all four.
 #
 # G3SDM and G3DM are sound and complete for their algebras, so a rule is
 # invertible when its premisses together say what its conclusion says.  In
@@ -92,19 +93,17 @@ def _with_succ(goal: Sequent, succ) -> Sequent:
 # derives only if that instance's premiss does (every DM algebra is an SDM
 # algebra, and G3DM is complete).  So search commits to that first instance
 # and never tries ``*``.
-_INVERTIBLE = {
-    SDM: frozenset({"&=>", "|=>", "~=>", "=>&", "=>~", "=>*|", "=>*~&", "=>*~~",
-                    "*|=>", "*~&=>", "*~~=>", "*0", "*1", "*n"}),
-    DM: frozenset({"&=>", "|=>", "~&=>", "~|=>", "~~=>", "=>&", "=>~|", "=>~~"}),
-    INT: frozenset({"&L", "&R", "|L", "->R"}),
-    CL: frozenset({"&L", "&R", "|L", "->R"}),
-}
+_INVERTIBLE = frozenset({
+    "&=>", "|=>", "~=>", "=>&", "=>~", "=>*|", "=>*~&", "=>*~~", "*|=>", "*~&=>",
+    "*~~=>", "*0", "*1", "*n", "~&=>", "~|=>", "~~=>", "=>~|", "=>~~",  # G3SDM, G3DM
+    "&L", "&R", "|L", "->R",  # G3ip, G3ip+Gem-at
+})
 
 STAR_FAMILY = frozenset({"*0", "*1", "*n"})
 
 
-def invertible(label: str, goal: Sequent) -> bool:
-    return label in _INVERTIBLE[goal.calculus]
+def invertible(label: str) -> bool:
+    return label in _INVERTIBLE
 
 
 def iter_g3sdm(goal: Sequent) -> Iterator[RuleInstance]:

@@ -213,7 +213,7 @@ class SearchEngine:
                     # the prunes hit this goal's set form and none above it:
                     # the commit rests on no ancestor, so try the next instance
                     continue
-            if invertible(inst.label, goal):
+            if invertible(inst.label):
                 break
         if path is not None:
             del path[sf]
@@ -457,11 +457,14 @@ def _first_bad(node: Derivation, checked: set) -> str | None:
     if id(node) in checked:
         return None
     expected_h = 1 + max((c.height for c in node.children), default=-1)
-    if node.height != expected_h:
+    # True == 1 and False == 0, but the proof decoder takes no bool for an int
+    if type(node.height) is not int or node.height != expected_h:
         return f": height {node.height}, expected {expected_h}"
     want = tuple(c.sequent for c in node.children)
     goal = node.sequent
-    if goal.calculus in (INT, CL) and node.rule != "Gem-at":
+    if node.principal is not None and type(node.principal) is not int:
+        found = False
+    elif goal.calculus in (INT, CL) and node.rule != "Gem-at":
         found = g3ip_premisses(goal, node.rule, node.principal) == want
     else:
         # SDM/DM, and Gem-at, whose principal is None at every variable

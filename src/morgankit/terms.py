@@ -18,9 +18,9 @@ lookup, so threads building the same term concurrently get one node.
 
 Everything here is immutable after construction and safe to share between
 threads.  Each node is built with its canonical sort key, made from its
-children's keys, so antecedents are kept in canonical order cheaply; it
-caches its SDM and DM weights in slots filled on first use.  A child that is
-not a term, or a variable name that is not a string, raises TypeError.
+children's keys, so antecedents are kept in canonical order cheaply; it holds
+no weights.  A child that is not a term, or a variable name that is not a
+string, raises TypeError.
 """
 
 from __future__ import annotations
@@ -85,7 +85,7 @@ def _publish(key, node):
 class Term:
     """Base class for all term constructors."""
 
-    __slots__ = ("__weakref__", "_key", "_sw", "_dw")
+    __slots__ = ("__weakref__", "_key")
 
     def key(self):
         """Total-order sort key; equal keys iff structurally equal.
@@ -116,7 +116,6 @@ class Var(Term):
             node.name = name
             node.ns = ns
             node._key = (0, _NS_RANK[ns], name)
-            node._sw = node._dw = 1
             node = _publish(key, node)
         return node
 
@@ -131,7 +130,6 @@ class _Bottom(Term):
 #: The falsum constant, the only _Bottom node.
 BOT = object.__new__(_Bottom)
 BOT._key = (1,)
-BOT._sw = BOT._dw = 1
 
 
 class Neg(Term):
@@ -148,7 +146,6 @@ class Neg(Term):
             node = object.__new__(cls)
             node.arg = arg
             node._key = (2, arg._key)
-            node._sw = node._dw = None
             node = _publish(key, node)
         return node
 
@@ -168,7 +165,6 @@ class _Binary(Term):
             node.left = left
             node.right = right
             node._key = (cls._rank, left._key, right._key)
-            node._sw = node._dw = None
             node = _publish(key, node)
         return node
 
@@ -347,25 +343,22 @@ def _members(x):
     return x
 
 
-def _weigh(t: Term) -> Term:
-    """Fill the _dw and _sw slots of t and of each subterm that lacks them,
-    and return t.  _sw is written last, so a node whose _sw is set has both."""
-    if t._sw is None:
-        ty = type(t)
-        if ty is Neg:
-            arg = _weigh(t.arg)
-            t._dw = arg._dw + 1
-            t._sw = arg._sw + 2
-        elif ty is And or ty is Or:
-            left, right = _weigh(t.left), _weigh(t.right)
-            t._dw = left._dw + right._dw + 2
-            # A conjunction adds 4 to the SDM weight, not 3: with 3 the
-            # starred-negated-conjunction left rule keeps the sequent weight
-            # constant, and backward search needs every rule to lower it strictly.
-            t._sw = left._sw + right._sw + (4 if ty is And else 2)
-        else:
-            raise TypeError("the weights are defined on the algebraic language only")
-    return t
+def _weights(t: Term) -> tuple:
+    """The SDM and DM weights of t, in one walk."""
+    ty = type(t)
+    if ty is Var or ty is _Bottom:
+        return 1, 1
+    if ty is Neg:
+        sw, dw = _weights(t.arg)
+        return sw + 2, dw + 1
+    if ty is And or ty is Or:
+        lsw, ldw = _weights(t.left)
+        rsw, rdw = _weights(t.right)
+        # A conjunction adds 4 to the SDM weight, not 3: with 3 the
+        # starred-negated-conjunction left rule keeps the sequent weight
+        # constant, and backward search needs every rule to lower it strictly.
+        return lsw + rsw + (4 if ty is And else 2), ldw + rdw + 2
+    raise TypeError("the weights are defined on the algebraic language only")
 
 
 def sdm_weight(x) -> int:
@@ -377,7 +370,7 @@ def sdm_weight(x) -> int:
     sequent.
     """
     if isinstance(x, Term):
-        return x._sw if x._sw is not None else _weigh(x)._sw
+        return _weights(x)[0]
     if isinstance(x, Struct):
         return sdm_weight(x.term) + (1 if x.star else 0)
     if isinstance(x, Sequent):
@@ -392,7 +385,7 @@ def sdm_weight(x) -> int:
 def dm_weight(x) -> int:
     """Weight measure bounding G3DM proof search."""
     if isinstance(x, Term):
-        return x._dw if x._sw is not None else _weigh(x)._dw
+        return _weights(x)[1]
     if isinstance(x, Sequent):
         return sum(dm_weight(m) for m in x.antecedent) + dm_weight(x.succedent)
     if type(x) in _SEQUENCES:

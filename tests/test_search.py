@@ -177,6 +177,25 @@ def test_check_rejects_tampered_copies_of_accepted_g3ip_derivations():
         assert not check_derivation(calc, tampered)
 
 
+@pytest.mark.parametrize("calc", ["sdm", "dm", "int", "cl"])
+def test_replay_rejects_a_bool_height_or_principal(calc):
+    # True == 1 and False == 0, but proof_from_obj takes neither for an int,
+    # so replay rejects them too and render never writes one
+    one = derive(calc, parse_sequent("p & q => p", calc))
+    two = derive(calc, parse_sequent("p, q & r => p & q", calc))
+    assert (one.principal, one.height, two.principal) == (0, 1, 1)
+    rule = one.rule
+    for tampered, diag in (
+            (one._replace(height=True), "height True, expected 1"),
+            (one._replace(principal=False), f"no {rule} instance with principal False"
+                                            " matches the recorded premisses"),
+            (two._replace(principal=True), f"no {rule} instance with principal True"
+                                           " matches the recorded premisses")):
+        assert check_derivation_report(calc, tampered) == (False, "derivation: " + diag)
+        with pytest.raises(InvalidDerivationError):
+            render(tampered, "json")
+
+
 def test_check_under_another_calculus_fails_after_acceptance():
     d = derive("sdm", parse_sequent("p & q => p", "sdm"))
     assert check_derivation("sdm", d)

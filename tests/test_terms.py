@@ -42,12 +42,16 @@ def test_terms_define_no_eq_or_hash():
     assert hash(t) == object.__hash__(t)
 
 
-def test_weights_cached_on_nodes():
-    t = parse_term("~(wa & wb) | ~~wc")  # variables no other test uses
-    assert t._sw is None and t._dw is None
+def test_weights_are_not_stored_on_nodes():
+    t = parse_term("~(wa & wb) | ~~wc")
     assert sdm_weight(t) == 2 + (2 + 1 + 1 + 4) + (2 + 2 + 1)
     assert dm_weight(t) == 2 + (1 + 1 + 1 + 2) + (1 + 1 + 1)
-    assert (t._sw, t._dw) == (sdm_weight(t), dm_weight(t))
+    # a node holds its constructor fields and its sort key, nothing else
+    assert Term.__slots__ == ("__weakref__", "_key")
+    for node in (t, t.left, t.left.arg, t.right.arg, Var("wa"), BOT):
+        slots = [s for c in type(node).__mro__ for s in getattr(c, "__slots__", ())]
+        assert not hasattr(node, "__dict__")
+        assert set(slots) <= {"__weakref__", "_key", "name", "ns", "arg", "left", "right"}
     assert not hasattr(terms, "_SDM_W") and not hasattr(terms, "_DM_W")
     with pytest.raises(TypeError):
         sdm_weight(Imp(Var("p"), BOT))

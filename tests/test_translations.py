@@ -9,7 +9,7 @@ from morgankit import (
     check_derivation, check_embedding, dm_weight, double_negate,
     f_godel_gentzen, f_sequent, g_glivenko, h_sequent, h_to_cl, k_sequent, k_to_int,
     parse_sequent, plain, print_sequent, print_term, refute, sequent,
-    starred, t_flatten,
+    starred, t_flatten, variables,
 )
 from morgankit.calculi import STAR_FAMILY
 from morgankit.corpus import CorpusConfig, generate_sequents
@@ -60,18 +60,44 @@ def test_k_clauses():
     assert k(And(p, q)) == And(p, q)
 
 
-# _k asserts that dm_weight falls on each recursive call; these are the
-# calls that rewrite their argument instead of descending into it.
+def _substitute(t, a, b):
+    """t with a for p and b for q."""
+    if t is p or t is q:
+        return a if t is p else b
+    if type(t) is Neg:
+        return Neg(_substitute(t.arg, a, b))
+    if type(t) in (And, Or):
+        return type(t)(_substitute(t.left, a, b), _substitute(t.right, a, b))
+    return t
+
+
+# The recursive calls of _k that rewrite their argument instead of descending
+# into it, over subterms p and q; the last two are the right-hand calls of the
+# first and third rewrites.
 @pytest.mark.parametrize("before, after", [
     (Neg(Or(p, q)), Neg(p)),
     (Neg(And(Neg(p), Neg(q))), Neg(Neg(Or(p, q)))),
     (Neg(Neg(And(p, q))), Neg(Neg(p))),
     (Neg(Neg(Or(Neg(p), Neg(q)))), Neg(And(p, q))),
     (Neg(Neg(Neg(p))), Neg(p)),
+    (Neg(Or(p, q)), Neg(q)),
+    (Neg(Neg(And(p, q))), Neg(Neg(q))),
 ])
 def test_k_measure_falls_on_rewrites(before, after):
-    assert dm_weight(after) < dm_weight(before)
-    k_to_int(before, ClassRegistry())  # _k's own assertion checks every call
+    # Each node adds a fixed amount to dm_weight, so a call lowers it by the
+    # weight of the subterms it leaves out plus a constant of the rewrite: the
+    # same when p or q stands for subterms of two different weights.  The
+    # constant is positive, so dm_weight falls on every call, for every term.
+    heavy = Or(Neg(r), And(p, q))
+    assert dm_weight(heavy) > dm_weight(p) == 1
+    lost = variables(before) - variables(after)
+    drops = set()
+    for a, b in ((p, q), (heavy, q), (p, heavy)):
+        left_out = [x for x, v in ((a, p), (b, q)) if (v.ns, v.name) in lost]
+        drops.add(dm_weight(_substitute(before, a, b))
+                  - dm_weight(_substitute(after, a, b)) - dm_weight(left_out))
+    (drop,) = drops
+    assert drop > 0
 
 
 def test_k_rewrites_share_atoms():
