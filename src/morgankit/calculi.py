@@ -8,6 +8,8 @@ instantiated per occurrence, not per distinct member; the calculi are
 contraction-free, so duplicated antecedent members matter.
 ``g3ip_premisses(goal, label, principal)`` builds the premisses of one G3ip
 instance, named by its label and principal, without enumerating the others.
+It and ``iter_g3ip`` read one table of G3ip's rules with premisses, a row
+per rule, so each premiss is built in one place.
 
 ``principal`` is the index of the principal occurrence in the (canonically
 sorted) antecedent, ``-1`` when the succedent is principal, and ``None`` for
@@ -287,6 +289,25 @@ def iter_g3dm(goal: Sequent) -> Iterator[RuleInstance]:
         yield RuleInstance("=>~&2", (_with_succ(goal, Neg(a.right)),), -1)
 
 
+# G3ip's rules with premisses, in the order iter_g3ip yields them (invertible
+# one-premiss rules, invertible branching rules, the choices): label, the
+# principal's connective, whether the principal is the succedent, and the
+# premisses built from the goal, the principal's position (-1 for the
+# succedent) and the principal.  ->L keeps its principal in the first premiss.
+_G3IP_RULES = (
+    ("->R", Imp, True,
+     lambda g, i, t: (Sequent(g.calculus, g.antecedent + (t.left,), t.right),)),
+    ("&L", And, False, lambda g, i, t: (_replace(g, i, (t.left, t.right)),)),
+    ("&R", And, True, lambda g, i, t: (_with_succ(g, t.left), _with_succ(g, t.right))),
+    ("|L", Or, False,
+     lambda g, i, t: (_replace(g, i, (t.left,)), _replace(g, i, (t.right,)))),
+    ("|R1", Or, True, lambda g, i, t: (_with_succ(g, t.left),)),
+    ("|R2", Or, True, lambda g, i, t: (_with_succ(g, t.right),)),
+    ("->L", Imp, False, lambda g, i, t: (_with_succ(g, t.left), _replace(g, i, (t.right,)))),
+)
+_G3IP_ROW = {row[0]: row for row in _G3IP_RULES}
+
+
 def iter_g3ip(goal: Sequent) -> Iterator[RuleInstance]:
     """G3ip instances for an INT goal; G3ip+Gem-at instances for a CL goal.
 
@@ -304,33 +325,15 @@ def iter_g3ip(goal: Sequent) -> Iterator[RuleInstance]:
     if BOT in ants:
         yield RuleInstance("BotL", (), None)
 
-    # single-premiss invertible rules
-    if type(succ) is Imp:
-        premiss = Sequent(goal.calculus, ants + (succ.left,), succ.right)
-        yield RuleInstance("->R", (premiss,), -1)
-    for i, t in enumerate(ants):
-        if type(t) is And:
-            yield RuleInstance("&L", (_replace(goal, i, (t.left, t.right)),), i)
-
-    # branching invertible rules
-    if type(succ) is And:
-        yield RuleInstance(
-            "&R", (_with_succ(goal, succ.left), _with_succ(goal, succ.right)), -1)
-    for i, t in enumerate(ants):
-        if type(t) is Or:
-            yield RuleInstance(
-                "|L", (_replace(goal, i, (t.left,)), _replace(goal, i, (t.right,))), i)
-
-    # non-invertible choices
-    if type(succ) is Or:
-        yield RuleInstance("|R1", (_with_succ(goal, succ.left),), -1)
-        yield RuleInstance("|R2", (_with_succ(goal, succ.right),), -1)
-    for i, t in enumerate(ants):
-        if type(t) is Imp:
-            # the principal implication stays in the first premiss
-            first = _with_succ(goal, t.left)
-            second = _replace(goal, i, (t.right,))
-            yield RuleInstance("->L", (first, second), i)
+    ts = type(succ)
+    for label, con, right, build in _G3IP_RULES:
+        if right:
+            if ts is con:
+                yield RuleInstance(label, build(goal, -1, succ), -1)
+        else:
+            for i, t in enumerate(ants):
+                if type(t) is con:
+                    yield RuleInstance(label, build(goal, i, t), i)
 
     if goal.calculus == CL:
         for ns, name in sorted(variables(goal)):
@@ -359,29 +362,16 @@ def g3ip_premisses(goal: Sequent, label: str, principal) -> tuple | None:
         if label == "BotL":
             return () if BOT in ants else None
         return None
-    if principal == -1:
-        ty = type(succ)
-        if ty is Imp and label == "->R":
-            return (Sequent(goal.calculus, ants + (succ.left,), succ.right),)
-        if ty is And and label == "&R":
-            return (_with_succ(goal, succ.left), _with_succ(goal, succ.right))
-        if ty is Or:
-            if label == "|R1":
-                return (_with_succ(goal, succ.left),)
-            if label == "|R2":
-                return (_with_succ(goal, succ.right),)
+    row = _G3IP_ROW.get(label)
+    # True == 1 and False == 0, so a bool would name a position
+    if row is None or type(principal) is not int:
         return None
-    if type(principal) is not int or not 0 <= principal < len(ants):
-        return None
-    t = ants[principal]
-    ty = type(t)
-    if ty is And and label == "&L":
-        return (_replace(goal, principal, (t.left, t.right)),)
-    if ty is Or and label == "|L":
-        return (_replace(goal, principal, (t.left,)), _replace(goal, principal, (t.right,)))
-    if ty is Imp and label == "->L":
-        return (_with_succ(goal, t.left), _replace(goal, principal, (t.right,)))
-    return None
+    _, con, right, build = row
+    if right:
+        t = succ if principal == -1 else None
+    else:
+        t = ants[principal] if 0 <= principal < len(ants) else None
+    return build(goal, principal, t) if type(t) is con else None
 
 
 def iter_instances(goal: Sequent) -> Iterator[RuleInstance]:

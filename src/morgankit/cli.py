@@ -127,9 +127,15 @@ def _cmd_check_embedding(args) -> int:
     kind = args.kind
     source = translations.EMBEDDING_KINDS[kind]
     if args.input:
+        seqs = []
         with open(args.input) as fh:
-            seqs = [syntax.parse_sequent(line.strip(), source)
-                    for line in fh if line.strip()]
+            for n, line in enumerate(fh, 1):
+                if line.strip():
+                    try:
+                        seqs.append(syntax.parse_sequent(line.strip(), source))
+                    except ParseError as e:
+                        e.args = (f"line {n}: {e}",)
+                        raise
     else:
         cfg = corpus.CorpusConfig(seed=args.seed)
         seqs = corpus.generate_sequents(source, args.count, cfg,

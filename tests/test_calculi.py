@@ -150,7 +150,8 @@ G3IP_LABELS = ("Id", "BotL", "&L", "&R", "|L", "|R1", "|R2", "->L", "->R", "Gem-
 @pytest.mark.parametrize("calc", ["int", "cl"])
 def test_g3ip_premisses_agree_with_iter_g3ip(calc):
     # the builder gives every non-Gem-at instance iter_g3ip yields, and None
-    # for every other label and principal, a negative one included
+    # for every other label and principal, a negative one and the bools
+    # included
     goals = [g for seed in (1, 2) for g in generate_sequents(calc, 150, CorpusConfig(seed=seed))]
     goals += [pm for g in goals for inst in iter_g3ip(g) for pm in inst.premisses]
     seen = set()
@@ -160,6 +161,9 @@ def test_g3ip_premisses_agree_with_iter_g3ip(calc):
         for label in G3IP_LABELS:
             for principal in (None, -2, -1, *range(len(goal.antecedent) + 1)):
                 assert g3ip_premisses(goal, label, principal) == want.get((label, principal))
+            # False == 0 and True == 1, but neither names a position
+            assert g3ip_premisses(goal, label, False) is None
+            assert g3ip_premisses(goal, label, True) is None
         seen.update(label for label, _ in want)
     assert seen == set(G3IP_LABELS) - {"Gem-at"}
 

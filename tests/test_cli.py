@@ -1,7 +1,10 @@
+import io
 import json
 import os
+import random
 import subprocess
 import sys
+from collections import Counter
 
 import pytest
 
@@ -390,6 +393,17 @@ def test_check_embedding_missing_input_is_exit_2(tmp_path):
     assert "missing.txt" in r.stderr and "Traceback" not in r.stderr
 
 
+def test_check_embedding_input_names_the_failing_line(tmp_path, capsys):
+    from morgankit.cli import main
+    sequents = tmp_path / "sequents.txt"
+    # the blank line counts, as the file numbers its lines
+    sequents.write_text("p => p\n\nq & => q\n")
+    assert main(["check-embedding", "--kind", "sdm-to-int-k",
+                 "--input", str(sequents)]) == 2
+    assert capsys.readouterr().err == (
+        "parse error: line 3: expected a term, found '=>' (at position 4)\n")
+
+
 def test_translate_unwritable_registry_is_exit_2(tmp_path):
     reg = tmp_path / "no-such-dir" / "registry.json"
     r = run_cli("translate", "--map", "k", "~~(p | q)", "--registry", str(reg))
@@ -479,6 +493,60 @@ def test_render_rejects_malformed_variable_names(tmp_path, capsys):
         proof.write_text(json.dumps(obj))
         assert main(["render", str(proof)]) == 2, (name, ns)
         assert "variable name" in capsys.readouterr().err
+
+
+_REPLACEMENTS = [None, True, False, 0, 1, -1, 2, 1.5, "", "p", "sdm", "int", "neg", "Id", [], {}]
+
+
+def _spoil(rng, obj):
+    """obj with one value, at any depth, deleted or replaced: by a JSON value
+    of any type, by a copy of another value inside obj, or, for an int, by
+    the bool or float equal to it."""
+    slots = []
+    stack = [obj]
+    while stack:
+        x = stack.pop()
+        keys = x if isinstance(x, dict) else range(len(x)) if isinstance(x, list) else ()
+        for k in keys:
+            slots.append((x, k))
+            stack.append(x[k])
+    node, key = rng.choice(slots)
+    old, r = node[key], rng.random()
+    if r < 0.2:
+        node.pop(key)
+    elif r < 0.3 and type(old) is int:
+        node[key] = bool(old) if old in (0, 1) else float(old)
+    elif r < 0.6:
+        node[key] = json.loads(json.dumps(rng.choice(slots)[0]))
+    else:
+        node[key] = json.loads(json.dumps(rng.choice(_REPLACEMENTS)))
+    return obj
+
+
+def test_render_of_spoiled_proofs_exits_0_or_2(monkeypatch, capsys):
+    from morgankit import derive, proof_from_obj, proof_to_obj
+    from morgankit.cli import main
+    from morgankit.corpus import CorpusConfig, generate_sequents
+    with open(os.path.join(os.path.dirname(__file__), "data", "sdm_proofs_v1.jsonl")) as fh:
+        texts = [line.strip() for line in fh]
+    for calc in ("int", "cl", "dm"):
+        for goal in generate_sequents(calc, 60, CorpusConfig(seed=30, max_depth=2)):
+            d = derive(calc, goal)
+            if d is not None:
+                texts.append(json.dumps(proof_to_obj(d)))
+    rng = random.Random(30)
+    exits = Counter()
+    for _ in range(450):
+        text = json.dumps(_spoil(rng, json.loads(rng.choice(texts))))
+        for fmt in ("ascii", "json"):
+            monkeypatch.setattr(sys, "stdin", io.StringIO(text))
+            status = main(["render", "--format", fmt])
+            out = capsys.readouterr().out
+            assert status in (0, 2), (status, fmt, text)
+            if status == 0 and fmt == "json":
+                proof_from_obj(json.loads(out))
+            exits[status] += 1
+    assert exits[0] >= 50 and exits[2] >= 700, exits
 
 
 def test_prove_bad_derivation_is_exit_3(monkeypatch, capsys):
