@@ -18,7 +18,10 @@ algebras refute every SDM non-theorem, so proof search remains the decision
 authority.
 
 There is one assignment loop, in ``_counterexample``: ``valid`` and
-``refute`` both walk it.
+``refute`` both walk it.  An assignment maps a base variable's name, and a
+reserved variable's printed text (``p'``, ``p''``, ``#k0``), to an element
+id, so ``p`` and ``p'``, or ``k0`` and ``#k0``, are two variables.  Each
+sequent's reserved variables are renamed once, before its assignment loop.
 """
 
 from __future__ import annotations
@@ -27,11 +30,11 @@ import itertools
 from collections import namedtuple
 
 from .terms import (
-    BOT, DM, SDM,
+    BASE, BOT, DM, SDM,
     And, Imp, Neg, Or, Sequent, Term, Var,
     t_flatten, variables,
 )
-from .syntax import _field
+from .syntax import _field, print_term
 
 ALGEBRA_SCHEMA = "morgan-kit/algebra/v1"
 
@@ -168,9 +171,6 @@ def _negation_laws(j, m, g, zero, one, variety) -> bool:
             for b in rng:
                 if g[m[a][b]] != j[g[a]][g[b]]:
                     return False
-                # redundant cross-check: a | b = ~(~a & ~b)
-                if j[a][b] != g[m[g[a]][g[b]]]:
-                    return False
     return True
 
 
@@ -197,7 +197,26 @@ class UnassignedVariableError(KeyError):
 
 
 def evaluate(phi: Term, assignment: dict, alg: FiniteAlgebra) -> int:
-    """Homomorphic evaluation; assignment maps variable names to element ids."""
+    """Homomorphic evaluation; assignment maps a base variable's name, and
+    a reserved variable's printed text, to an element id."""
+    return _evaluate(_by_text(phi), assignment, alg)
+
+
+def _by_text(t: Term) -> Term:
+    """t with each reserved variable renamed to the base variable named by
+    its printed text: p' to p', #k0 to #k0."""
+    ty = type(t)
+    if ty is Var:
+        return t if t.ns == BASE else Var(print_term(t))
+    if ty is Neg:
+        return Neg(_by_text(t.arg))
+    if ty is And or ty is Or or ty is Imp:
+        return ty(_by_text(t.left), _by_text(t.right))
+    return t
+
+
+def _evaluate(phi: Term, assignment: dict, alg: FiniteAlgebra) -> int:
+    """evaluate on a term whose variables are all named by their printed text."""
     ty = type(phi)
     if ty is Var:
         try:
@@ -205,13 +224,13 @@ def evaluate(phi: Term, assignment: dict, alg: FiniteAlgebra) -> int:
         except KeyError:
             raise UnassignedVariableError(phi.name) from None
     if ty is Neg:
-        return alg.neg[evaluate(phi.arg, assignment, alg)]
+        return alg.neg[_evaluate(phi.arg, assignment, alg)]
     if ty is And:
-        return alg.meet[evaluate(phi.left, assignment, alg)][
-            evaluate(phi.right, assignment, alg)]
+        return alg.meet[_evaluate(phi.left, assignment, alg)][
+            _evaluate(phi.right, assignment, alg)]
     if ty is Or:
-        return alg.join[evaluate(phi.left, assignment, alg)][
-            evaluate(phi.right, assignment, alg)]
+        return alg.join[_evaluate(phi.left, assignment, alg)][
+            _evaluate(phi.right, assignment, alg)]
     if ty is Imp:
         raise ValueError("algebra evaluation is defined on the algebraic language")
     if phi is BOT:
@@ -220,9 +239,16 @@ def evaluate(phi: Term, assignment: dict, alg: FiniteAlgebra) -> int:
 
 
 def _flatten_for(s: Sequent):
+    """The sequent's flattened sides, each reserved variable renamed by
+    ``_by_text``, and the sorted names of their variables."""
     if s.calculus not in (SDM, DM):
         raise ValueError("validity is defined for SDM and DM sequents")
-    return t_flatten(s.antecedent), t_flatten(s.succedent)
+    lhs, rhs = t_flatten(s.antecedent), t_flatten(s.succedent)
+    names = variables(s)
+    if any(ns != BASE for ns, _ in names):
+        lhs, rhs = _by_text(lhs), _by_text(rhs)
+        names = variables((lhs, rhs))
+    return lhs, rhs, sorted(name for _, name in names)
 
 
 def _counterexample(lhs: Term, rhs: Term, names, alg: FiniteAlgebra):
@@ -230,21 +256,16 @@ def _counterexample(lhs: Term, rhs: Term, names, alg: FiniteAlgebra):
     assignments are tried in itertools.product order."""
     for values in itertools.product(range(alg.size), repeat=len(names)):
         assignment = dict(zip(names, values))
-        a = evaluate(lhs, assignment, alg)
-        b = evaluate(rhs, assignment, alg)
+        a = _evaluate(lhs, assignment, alg)
+        b = _evaluate(rhs, assignment, alg)
         if alg.meet[a][b] != a:
             return assignment
     return None
 
 
-def _names(s: Sequent) -> list:
-    return sorted({name for _, name in variables(s)})
-
-
 def valid(s: Sequent, alg: FiniteAlgebra) -> bool:
     """True iff the flattened inequality holds under every assignment."""
-    lhs, rhs = _flatten_for(s)
-    return _counterexample(lhs, rhs, _names(s), alg) is None
+    return _counterexample(*_flatten_for(s), alg) is None
 
 
 def _distributive_lattices(max_size: int):
@@ -321,8 +342,7 @@ def enumerate_algebras(variety: str, max_size: int) -> list:
 
 def refute(s: Sequent, variety: str, max_size: int) -> tuple | None:
     """First (algebra, assignment) invalidating s among enumerated algebras."""
-    lhs, rhs = _flatten_for(s)
-    names = _names(s)
+    lhs, rhs, names = _flatten_for(s)
     for alg in enumerate_algebras(variety, max_size):
         assignment = _counterexample(lhs, rhs, names, alg)
         if assignment is not None:

@@ -15,6 +15,7 @@ translate takes --registry only with --map k.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -216,7 +217,9 @@ def _natural(text: str) -> int:
     return n
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The one parser of the process; each call of ``main`` reuses it."""
     ap = argparse.ArgumentParser(
         prog="morgankit",
         description="sequent calculi for De Morgan and semi-De Morgan algebras")

@@ -48,10 +48,11 @@ rule; the bound makes it terminate.  ``min_height`` takes its verdict from
 Before it expands an INT/CL goal, search tries to refute it classically:
 both calculi are sound for two-valued semantics, so a boolean valuation
 that makes the antecedent true and the succedent false refutes the goal
-outright.  Each public search call fixes the root goal's variables and
-keeps one truth table per distinct term, a Python int holding the term's
-value under every valuation of those variables, computed once and dropped
-when the call returns.  The root's variables suffice for every subgoal:
+outright.  A public call on an INT/CL root makes one dict of truth tables
+over the root's variables (``derive`` once neither the memo nor the identity
+derivation answers the root): a table is a Python int holding a term's value
+under every valuation, computed on first lookup and dropped when the call
+returns.  The root's variables suffice for every subgoal:
 G3ip and Gem-at premisses use only the root's variables, and valuing
 variables a subgoal lacks changes none of its members.  A root with more
 than ``_REFUTE_VAR_CAP`` variables gets no tables; each goal is then tested
@@ -155,7 +156,7 @@ class SearchEngine:
         """A derivation of the goal, or None when exhaustive search refutes it."""
         if _checked(calculus, goal) in (SDM, DM):
             return self._derive(goal, None, None)
-        return self._derive(goal, {}, _TruthTables(goal))
+        return self._derive(goal, {}, None)
 
     def derivable(self, calculus: str, goal: Sequent) -> bool:
         return self.derive(calculus, goal) is not None
@@ -170,7 +171,8 @@ class SearchEngine:
         not memoised, and it returns the depth of the shallowest ancestor
         such a prune hit.  ``path`` and ``tt`` are None below an SDM/DM
         root: there weights fall strictly, and search needs no identity
-        derivation, prefilter or loop check.
+        derivation, prefilter or loop check.  An INT/CL root makes ``tt``
+        once neither the memo nor the identity derivation answers it.
         """
         hit = self._witness.get(goal, _BIG)
         if hit is not _BIG:
@@ -178,6 +180,8 @@ class SearchEngine:
         if path is not None:
             if goal.succedent in goal.antecedent:
                 return self._store(goal, _identity(goal))
+            if tt is None:
+                tt = _TruthTables(goal)
             if tt.refutes(goal):
                 # G3ip and G3ip+Gem-at are sound for two-valued semantics, so
                 # a boolean countermodel refutes absolutely; this collapses
@@ -232,7 +236,7 @@ class SearchEngine:
         """
         if self.derive(calculus, goal) is None:
             return None
-        tt = _TruthTables(goal)
+        tt = None if goal.calculus in (SDM, DM) else _TruthTables(goal)
         memo: dict = {}
         n = 0
         while _bd(goal, n, tt, memo) is None:
@@ -245,19 +249,19 @@ class SearchEngine:
 
     def derive_within_height(self, calculus: str, goal: Sequent, n: int):
         """A derivation of height at most n, or None."""
-        _checked(calculus, goal)
-        return _bd(goal, n, _TruthTables(goal), {}) if n >= 0 else None
+        sdm_dm = _checked(calculus, goal) in (SDM, DM)
+        return _bd(goal, n, None if sdm_dm else _TruthTables(goal), {}) if n >= 0 else None
 
 
-def _bd(goal: Sequent, n: int, tt: "_TruthTables", memo: dict) -> Derivation | None:
+def _bd(goal: Sequent, n: int, tt: _TruthTables | None, memo: dict) -> Derivation | None:
     """The first derivation of height at most n, in instance order."""
     key = (goal, n)
     hit = memo.get(key, _BIG)
     if hit is not _BIG:
         return hit
     result = None
-    # _TruthTables reads ~ as F, so only INT/CL goals are prefiltered
-    if goal.calculus in (SDM, DM) or not tt.refutes(goal):
+    # tt is None below an SDM/DM root: _TruthTables reads ~ as F
+    if tt is None or not tt.refutes(goal):
         for inst in iter_instances(goal):
             if not inst.premisses:
                 result = _node(goal, inst.label, inst.principal, ())
@@ -318,52 +322,44 @@ def _checked(calculus: str, goal: Sequent) -> str:
 _REFUTE_VAR_CAP = 14
 
 
-class _TruthTables:
+class _TruthTables(dict):
     """Boolean truth tables over the valuations of one root goal's variables.
 
     With the root's variables in sorted order, bit m of a table is the
     term's value under the valuation that gives variable i the value of bit
-    i of m; a table is a Python int and the connectives are bitwise.  Each
-    distinct term's table is computed once and kept for the life of this
-    object, i.e. of one public search call.  The variables are fixed on the
-    first test, so a root answered from the memo builds nothing.
+    i of m; a table is a Python int and the connectives are bitwise.  The
+    constructor stores the variables' tables; a missing term's table is
+    computed from its children's and kept for the life of this object, i.e.
+    of one public search call.  A root over the cap has none; ``_full`` is 0.
     """
 
-    __slots__ = ("_root", "_full", "_tables")
+    __slots__ = ("_full",)
 
     def __init__(self, root: Sequent):
-        self._root = root
-        self._full = None
-        self._tables = None
-
-    def _build(self):
-        names = sorted(variables(self._root))
-        self._tables = {}
+        names = sorted(variables(root))
+        self._full = 0
         if len(names) > _REFUTE_VAR_CAP:
             return
-        full = (1 << (1 << len(names))) - 1
-        self._full = full
+        full = self._full = (1 << (1 << len(names))) - 1
         for i, (ns, name) in enumerate(names):
             block = 1 << i
             # 2^i zeros then 2^i ones, repeated across the 2^n valuations
-            self._tables[Var(name, ns)] = (
+            self[Var(name, ns)] = (
                 ((1 << block) - 1) << block) * (full // ((1 << 2 * block) - 1))
 
-    def _table(self, t) -> int:
-        tab = self._tables.get(t)
-        if tab is None:
-            ty = type(t)
-            if ty is Imp:
-                tab = (self._full ^ self._table(t.left)) | self._table(t.right)
-            elif ty is And:
-                tab = self._table(t.left) & self._table(t.right)
-            elif ty is Or:
-                tab = self._table(t.left) | self._table(t.right)
-            elif ty is Var:
-                raise ValueError(f"{t!r} does not occur in the root goal")
-            else:
-                tab = 0  # bottom
-            self._tables[t] = tab
+    def __missing__(self, t) -> int:
+        ty = type(t)
+        if ty is Imp:
+            tab = (self._full ^ self[t.left]) | self[t.right]
+        elif ty is And:
+            tab = self[t.left] & self[t.right]
+        elif ty is Or:
+            tab = self[t.left] | self[t.right]
+        elif ty is Var:
+            raise ValueError(f"{t!r} does not occur in the root goal")
+        else:
+            tab = 0  # bottom
+        self[t] = tab
         return tab
 
     def refutes(self, goal: Sequent) -> bool:
@@ -372,21 +368,15 @@ class _TruthTables:
         ``goal`` must use only the root's variables.  Above the variable
         cap the root has no tables, and each goal is tested on its own.
         """
-        if self._tables is None:
-            self._build()
         full = self._full
-        if full is None:
+        if not full:
             alone = _TruthTables(goal)
-            alone._build()
-            return alone._full is not None and alone.refutes(goal)
-        get = self._tables.get
-        tab = get(goal.succedent)
-        acc = full ^ (self._table(goal.succedent) if tab is None else tab)
+            return alone._full != 0 and alone.refutes(goal)
+        acc = full ^ self[goal.succedent]
         for m in goal.antecedent:
             if not acc:
                 return False
-            tab = get(m)
-            acc &= self._table(m) if tab is None else tab
+            acc &= self[m]
         return acc != 0
 
 

@@ -93,6 +93,17 @@ class ClassRegistry:
         }
 
 
+def _reject(v: Var, reader: str):
+    """Raise for a reserved variable met by k or h.  k writes p' for ~p,
+    p'' for ~~p and #ki for its registry's terms, h writes p' for ~p, and
+    both read their output back as those terms, so such input would be read
+    as what it is not."""
+    writer = reader if v.ns == PRIMED else "k"
+    what = "#k atoms" if v.ns == CLASS else f"{v.ns} variables"
+    whose = "its" if writer == reader else f"{reader}'s"
+    raise ValueError(f"{what} are {writer}'s output, not {whose} input: {print_term(v)}")
+
+
 def k_to_int(phi: Term, reg: ClassRegistry) -> Term:
     """SDM term into the intuitionistic language; each irreducible ~(a & b)
     and ~~(a | b) becomes the registry's #k atom for that term."""
@@ -107,11 +118,8 @@ def _k(phi: Term, reg: ClassRegistry) -> Term:
     # ~~(y & z) -> ~~y, ~~(~a | ~b) -> ~(a & b) and ~~~z -> ~z.
     ty = type(phi)
     if ty is Var:
-        # k writes p' for ~p, p'' for ~~p and #ki for the registry's terms,
-        # and k_sequent reads each back as that term
         if phi.ns != BASE:
-            what = "#k atoms" if phi.ns == CLASS else f"{phi.ns} variables"
-            raise ValueError(f"{what} are k's output, not its input: {print_term(phi)}")
+            _reject(phi, "k")
         return phi
     if phi == BOT:
         return BOT
@@ -123,6 +131,8 @@ def _k(phi: Term, reg: ClassRegistry) -> Term:
     x = phi.arg
     tx = type(x)
     if tx is Var:
+        if x.ns != BASE:
+            _reject(x, "k")
         return Var(x.name, PRIMED)
     if x == BOT:
         return TOP_IMP
@@ -136,6 +146,8 @@ def _k(phi: Term, reg: ClassRegistry) -> Term:
     y = x.arg
     tyy = type(y)
     if tyy is Var:
+        if y.ns != BASE:
+            _reject(y, "k")
         return Var(y.name, DOUBLED)
     if y == BOT:
         return BOT
@@ -196,6 +208,8 @@ def h_to_cl(phi: Term) -> Term:
     """DM term into the classical language; negation goes to atoms, p' for ~p."""
     ty = type(phi)
     if ty is Var:
+        if phi.ns != BASE:
+            _reject(phi, "h")
         return phi
     if phi == BOT:
         return BOT
@@ -210,6 +224,8 @@ def h_to_cl(phi: Term) -> Term:
     x = phi.arg
     tx = type(x)
     if tx is Var:
+        if x.ns != BASE:
+            _reject(x, "h")
         return Var(x.name, PRIMED)
     if x == BOT:
         return TOP_IMP
@@ -253,13 +269,15 @@ TRANSLATIONS = {
 def translate(name: str, x, registry: ClassRegistry | None = None):
     """The image of a term (a structure, for t) or a sequent under one map;
     a sequent must be of the map's source calculus.  Only k reads the
-    registry: it names its #k atoms there.
+    registry: it names its #k atoms there, in a fresh one when none is given.
     """
     source, on_term, on_sequent = TRANSLATIONS[name]
     if isinstance(x, Sequent) and x.calculus != source:
         raise ValueError(f"{name} reads {source} sequents, not {x.calculus}")
     image = on_sequent if isinstance(x, Sequent) else on_term
-    return image(x, registry) if name == "k" else image(x)
+    if name != "k":
+        return image(x)
+    return image(x, ClassRegistry() if registry is None else registry)
 
 
 # Each embedding kind as two chains of maps, applied left to right to a

@@ -7,8 +7,9 @@ from hypothesis import given, strategies as st
 
 from morgankit import (
     BOT, And, ClassRegistry, FiniteAlgebra, Neg, Or, Struct, Var,
-    check_embedding, check_variety, dm4, enumerate_algebras, evaluate,
-    parse_sequent, print_sequent, print_term, refute, valid, variables,
+    check_embedding, check_variety, derivable, dm4, enumerate_algebras, evaluate,
+    parse_sequent, plain, print_sequent, print_term, refute, sequent,
+    sequent_from_obj, sequent_to_obj, valid, variables,
 )
 from morgankit.algebras import UnassignedVariableError
 from morgankit.corpus import CorpusConfig, generate_sequents
@@ -140,6 +141,26 @@ def test_refute_pins():
     lhs = evaluate(Neg(Neg(p)), assignment, alg)
     rhs = evaluate(p, assignment, alg)
     assert alg.meet[lhs][rhs] != lhs
+
+
+def test_oracle_tells_namespaces_apart():
+    # p and p', k0 and #k0 are two variables each; a witness names a
+    # reserved variable by its printed text
+    k0, hk0, p1 = Var("k0"), Var("k0", "class"), Var("p", "primed")
+    s = sequent_from_obj(sequent_to_obj(sequent("sdm", [plain(hk0)], plain(k0))))
+    assert not derivable("sdm", s)
+    alg, assignment = refute(s, "sdm", 4)
+    assert alg == BOOL2 and assignment == {"#k0": 1, "k0": 0}
+    assert not valid(sequent("dm", [hk0], k0), dm4())
+    assert valid(sequent("dm", [hk0], hk0), dm4())
+    alg, assignment = refute(sequent("sdm", [p1], Neg(p)), "sdm", 3)
+    assert set(assignment) == {"p", "p'"}
+    assert evaluate(p1, assignment, alg) == assignment["p'"]
+    lhs, rhs = evaluate(p1, assignment, alg), evaluate(Neg(p), assignment, alg)
+    assert alg.meet[lhs][rhs] != lhs
+    assert evaluate(And(p1, Var("p", "doubled")), {"p": 0, "p'": 1, "p''": 2}, dm4()) == 0
+    with pytest.raises(UnassignedVariableError):
+        evaluate(p1, {"p": 1}, dm4())
 
 
 def test_algebra_json_roundtrip():

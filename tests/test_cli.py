@@ -423,6 +423,18 @@ def test_prove_at_min_height_prints_a_proof(capsys):
     assert capsys.readouterr().out.endswith("~p => ~p   [=>~]\n")
 
 
+def test_main_reuses_one_parser(capsys):
+    from morgankit.cli import build_parser, main
+    parser = build_parser()
+    assert main(["decide", "p => p"]) == 0
+    with pytest.raises(SystemExit) as e:
+        main(["decide"])  # a usage error leaves the parser as it was
+    assert e.value.code == 2
+    assert main(["decide", "p => q"]) == 1
+    assert build_parser() is parser
+    assert capsys.readouterr().out == "derivable\nnot derivable\n"
+
+
 def test_negative_height_is_usage_error():
     r = run_cli("prove", "p => p", "--height", "-1")
     assert r.returncode == 2

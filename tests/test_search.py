@@ -701,6 +701,38 @@ def test_prefilter_subgoal_drops_a_variable():
         assert eng.min_height(calc, root) == 2
 
 
+def test_truth_tables_are_made_only_where_search_needs_them(monkeypatch):
+    from morgankit import search
+    made = []
+
+    class Counted(_TruthTables):
+        __slots__ = ()
+
+        def __init__(self, root):
+            made.append(root)
+            super().__init__(root)
+
+    def count(call, *args):
+        made.clear()
+        call(*args)
+        return len(made)
+
+    monkeypatch.setattr(search, "_TruthTables", Counted)
+    eng = SearchEngine()
+    for calc in ("int", "cl"):
+        fresh = parse_sequent("p -> q, q -> r => p -> r", calc)
+        assert count(eng.derive, calc, fresh) == 1
+        assert count(eng.derive, calc, fresh) == 0  # a memo hit
+        assert count(eng.derive, calc, parse_sequent("p, q => p", calc)) == 0
+        assert count(eng.derive_within_height, calc, fresh, 3) == 1
+        assert count(eng.min_height, calc, fresh) == 1  # for the bounded search
+    for calc in ("sdm", "dm"):
+        goal = parse_sequent("p & q => q | r", calc)
+        assert count(eng.derive, calc, goal) == 0
+        assert count(eng.min_height, calc, goal) == 0
+        assert count(eng.derive_within_height, calc, goal, 3) == 0
+
+
 # The loop check prunes the |L premiss `q, q, p | q, q -> F => r`: its set
 # form repeats the goal's.  |L is invertible, but a commit whose premiss
 # fails only at the goal's own set form does not end the search, so ->L on

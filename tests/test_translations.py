@@ -8,7 +8,7 @@ from morgankit import (
     BOT, TOP_ALG, TOP_IMP, And, ClassRegistry, Imp, Neg, Or, SearchEngine, Var,
     check_derivation, check_embedding, dm_weight, double_negate,
     f_godel_gentzen, f_sequent, g_glivenko, h_sequent, h_to_cl, k_sequent, k_to_int,
-    parse_sequent, plain, print_sequent, print_term, refute, sequent,
+    parse_sequent, parse_term, plain, print_sequent, print_term, refute, sequent,
     starred, t_flatten, variables,
 )
 from morgankit.calculi import STAR_FAMILY
@@ -155,6 +155,12 @@ def test_k_rejects_primed_and_doubled_variables_as_input():
             k_sequent(s, ClassRegistry())
         with pytest.raises(ValueError, match="k's output"):
             k_to_int(And(p, Var("p", ns)), ClassRegistry())
+    # under ~ and ~~ too, where k would otherwise keep only the name
+    for t, printed in ((Neg(Var("p", "primed")), "p'"),
+                       (Neg(Neg(Var("p", "doubled"))), "p''"),
+                       (Neg(Var("k0", "class")), "#k0")):
+        with pytest.raises(ValueError, match=f"k's output, not its input: {printed}$"):
+            k_to_int(t, ClassRegistry())
 
 
 def test_k_registry_sidecar():
@@ -234,6 +240,25 @@ def test_h_clauses():
     for t in (Imp(p, q), Neg(Imp(p, q)), And(p, Neg(Neg(Imp(p, q))))):
         with pytest.raises(ValueError, match="h is defined on the algebraic language"):
             h_to_cl(t)
+
+
+def test_h_rejects_reserved_variables_as_input():
+    # h writes ~p as p', so p' => ~p would map to the derivable p' => p'
+    s = sequent("dm", [Var("p", "primed")], Neg(p))
+    assert refute(s, "dm", 2) is not None
+    with pytest.raises(ValueError, match="primed variables are h's output, not its input: p'$"):
+        check_embedding("dm-to-cl-h", [s])
+    for t, printed in ((Neg(Var("p", "primed")), "p'"), (Var("p", "doubled"), "p''"),
+                       (Neg(Neg(Var("k0", "class"))), "#k0")):
+        with pytest.raises(ValueError, match=f"output, not (its|h's) input: {printed}$"):
+            h_to_cl(And(q, t))
+
+
+def test_translate_k_without_a_registry():
+    assert translate("k", parse_term("~(p & q)")) == Var("k0", "class")
+    s = parse_sequent("~(p & q) => ~p", "sdm")
+    assert translate("k", s) == k_sequent(s, ClassRegistry())
+
 
 def test_g_clauses():
     assert g_glivenko(p) == Imp(Imp(p, BOT), BOT)
