@@ -240,15 +240,16 @@ def _evaluate(phi: Term, assignment: dict, alg: FiniteAlgebra) -> int:
 
 def _flatten_for(s: Sequent):
     """The sequent's flattened sides, each reserved variable renamed by
-    ``_by_text``, and the sorted names of their variables."""
+    ``_by_text``, and the sorted names of the ``Var`` nodes in them; after
+    the renaming each node is a base variable, named by its printed text."""
     if s.calculus not in (SDM, DM):
         raise ValueError("validity is defined for SDM and DM sequents")
     lhs, rhs = t_flatten(s.antecedent), t_flatten(s.succedent)
-    names = variables(s)
-    if any(ns != BASE for ns, _ in names):
+    atoms = variables(s)
+    if any(v.ns != BASE for v in atoms):
         lhs, rhs = _by_text(lhs), _by_text(rhs)
-        names = variables((lhs, rhs))
-    return lhs, rhs, sorted(name for _, name in names)
+        atoms = variables((lhs, rhs))
+    return lhs, rhs, sorted(v.name for v in atoms)
 
 
 def _counterexample(lhs: Term, rhs: Term, names, alg: FiniteAlgebra):

@@ -311,8 +311,8 @@ _G3IP_ROW = {row[0]: row for row in _G3IP_RULES}
 def iter_g3ip(goal: Sequent) -> Iterator[RuleInstance]:
     """G3ip instances for an INT goal; G3ip+Gem-at instances for a CL goal.
 
-    Gem-at is instantiated only at variables occurring in the goal: fresh
-    variables can never help close a branch.
+    Gem-at is instantiated only at variables occurring in the goal, in
+    (namespace, name) order: fresh variables can never help close a branch.
     """
     if goal.calculus not in (INT, CL):
         raise CalculusMismatchError(f"expected an INT or CL goal, got {goal.calculus}")
@@ -336,8 +336,7 @@ def iter_g3ip(goal: Sequent) -> Iterator[RuleInstance]:
                     yield RuleInstance(label, build(goal, i, t), i)
 
     if goal.calculus == CL:
-        for ns, name in sorted(variables(goal)):
-            v = Var(name, ns)
+        for v in sorted(variables(goal), key=lambda v: (v.ns, v.name)):
             yield RuleInstance(
                 "Gem-at",
                 (Sequent(CL, ants + (v,), succ),

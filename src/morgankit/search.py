@@ -85,7 +85,7 @@ from .syntax import (
     _LATEX, _field, _sequent_from_obj, _sequent_text, print_sequent, sequent_to_obj,
 )
 from .terms import (
-    CL, DM, INT, SDM, And, Imp, Or, Sequent, Var, variables,
+    CL, DM, INT, SDM, And, Imp, Or, Sequent, Term, Var, variables,
 )
 
 PROOF_SCHEMA = "morgan-kit/proof/v1"
@@ -231,12 +231,16 @@ class SearchEngine:
     def min_height(self, calculus: str, goal: Sequent):
         """Minimal derivation height, or None when not derivable.
 
-        The verdict comes from ``derive``, in all four calculi; only a
-        derivable goal is then searched at bounds 0, 1, 2, ...
+        The verdict comes from ``derive``'s search, in all four calculi;
+        only a derivable goal is then searched at bounds 0, 1, 2, ...  An
+        INT/CL goal's truth tables are made once and serve both searches.
         """
-        if self.derive(calculus, goal) is None:
+        if _checked(calculus, goal) in (SDM, DM):
+            path = tt = None
+        else:
+            path, tt = {}, _TruthTables(goal)
+        if self._derive(goal, path, tt) is None:
             return None
-        tt = None if goal.calculus in (SDM, DM) else _TruthTables(goal)
         memo: dict = {}
         n = 0
         while _bd(goal, n, tt, memo) is None:
@@ -325,10 +329,11 @@ _REFUTE_VAR_CAP = 14
 class _TruthTables(dict):
     """Boolean truth tables over the valuations of one root goal's variables.
 
-    With the root's variables in sorted order, bit m of a table is the
-    term's value under the valuation that gives variable i the value of bit
-    i of m; a table is a Python int and the connectives are bitwise.  The
-    constructor stores the variables' tables; a missing term's table is
+    With the root's ``Var`` nodes in canonical key order, bit m of a table
+    is the term's value under the valuation that gives variable i the value
+    of bit i of m; a table is a Python int and the connectives are bitwise.
+    The constructor stores the variables' tables, keyed by their nodes, and
+    sorts them itself: ``variables`` gives a set.  A missing term's table is
     computed from its children's and kept for the life of this object, i.e.
     of one public search call.  A root over the cap has none; ``_full`` is 0.
     """
@@ -336,15 +341,15 @@ class _TruthTables(dict):
     __slots__ = ("_full",)
 
     def __init__(self, root: Sequent):
-        names = sorted(variables(root))
+        atoms = variables(root)
         self._full = 0
-        if len(names) > _REFUTE_VAR_CAP:
+        if len(atoms) > _REFUTE_VAR_CAP:
             return
-        full = self._full = (1 << (1 << len(names))) - 1
-        for i, (ns, name) in enumerate(names):
+        full = self._full = (1 << (1 << len(atoms))) - 1
+        for i, v in enumerate(sorted(atoms, key=Term.key)):
             block = 1 << i
             # 2^i zeros then 2^i ones, repeated across the 2^n valuations
-            self[Var(name, ns)] = (
+            self[v] = (
                 ((1 << block) - 1) << block) * (full // ((1 << 2 * block) - 1))
 
     def __missing__(self, t) -> int:

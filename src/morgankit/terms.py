@@ -394,15 +394,18 @@ def dm_weight(x) -> int:
 
 
 def variables(x) -> frozenset:
-    """The set of (namespace, name) pairs occurring in a term, structure,
-    sequent, or plain tuple or list of these (nested); anything else has none."""
+    """The set of ``Var`` nodes occurring in a term, structure, sequent, or
+    plain tuple or list of these (nested); anything else has none.
+
+    Nodes hash by identity, so the set's iteration order can differ between
+    processes: a caller that orders variables sorts them itself."""
     out = set()
     stack = [x]
     while stack:
         item = stack.pop()
         ty = type(item)
         if ty is Var:
-            out.add((item.ns, item.name))
+            out.add(item)
         elif ty is Neg:
             stack.append(item.arg)
         elif ty is And or ty is Or or ty is Imp:

@@ -178,10 +178,10 @@ def k_sequent(s: Sequent, reg: ClassRegistry) -> Sequent:
     identities, so the image fails there, and G3ip does not derive it.
     """
     image = _memberwise(INT, lambda m: _k(t_flatten(m), reg))(s)
-    names = variables(image)
-    if all(ns != CLASS for ns, _ in names):
+    found = variables(image)
+    if all(a.ns != CLASS for a in found):
         return image
-    atoms = sorted((Var(name, ns) for ns, name in names), key=Term.key)
+    atoms = sorted(found, key=Term.key)
     rep = {BOT: BOT}
     for a in atoms:
         if a.ns == CLASS:

@@ -256,7 +256,7 @@ def _valuations(names, alg):
 
 
 def _brute_refute(s, algs):
-    names = sorted({name for _, name in variables(s)})
+    names = sorted({v.name for v in variables(s)})
     for alg in algs:
         for val in _valuations(names, alg):
             lhs = alg.one

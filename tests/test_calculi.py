@@ -1,7 +1,7 @@
 import pytest
 
 from morgankit import (
-    BOT, CalculusMismatchError, Or, Var,
+    BOT, CalculusMismatchError, Imp, Or, Var,
     dm_weight, expand, parse_sequent, plain, sdm_weight, sequent, starred,
 )
 from morgankit.calculi import g3ip_premisses, iter_g3ip, iter_g3sdm
@@ -119,6 +119,13 @@ def test_gem_at_instances():
         parse_sequent("~p => p | ~p", "cl"),
     )
     assert "Gem-at" not in _labels(expand(parse_sequent("=> p | ~p", "int")))
+    # one instance per variable of the goal, in (namespace, name) order
+    p1, p2, k0 = Var("p", "primed"), Var("p", "doubled"), Var("k0", "class")
+    goal = sequent("cl", [p1, k0], Or(p, p2))
+    gems = [i.premisses for i in expand(goal) if i.label == "Gem-at"]
+    assert gems == [(sequent("cl", [p1, k0, v], Or(p, p2)),
+                     sequent("cl", [p1, k0, Imp(v, BOT)], Or(p, p2)))
+                    for v in (p, k0, p2, p1)]
 
 
 def test_calculus_tag_checked():

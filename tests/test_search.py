@@ -283,7 +283,7 @@ def test_render_pinned_by_digest():
     with_classes = 0
     for s in generate_sequents("sdm", 300, CorpusConfig(seed=75), max_weight=20):
         img = k_sequent(s, reg)
-        if any(ns == "class" for ns, _ in variables(img)):
+        if any(v.ns == "class" for v in variables(img)):
             d = eng.derive("int", img)
             if d is not None:
                 with_classes += 1
@@ -608,7 +608,7 @@ def test_derive_within_height_bounded_witness():
 
 def _holds(t, val):
     if type(t) is Var:
-        return val[(t.ns, t.name)]
+        return val[t]
     if type(t) is Imp:
         return not _holds(t.left, val) or _holds(t.right, val)
     if type(t) is And:
@@ -619,11 +619,11 @@ def _holds(t, val):
 
 
 def _brute_refutable(goal):
-    names = sorted(variables(goal))
-    if len(names) > 14:
+    atoms = list(variables(goal))
+    if len(atoms) > 14:
         return False
-    for bits in itertools.product((False, True), repeat=len(names)):
-        val = dict(zip(names, bits))
+    for bits in itertools.product((False, True), repeat=len(atoms)):
+        val = dict(zip(atoms, bits))
         if not _holds(goal.succedent, val) and all(
                 _holds(m, val) for m in goal.antecedent):
             return True
@@ -726,6 +726,8 @@ def test_truth_tables_are_made_only_where_search_needs_them(monkeypatch):
         assert count(eng.derive, calc, parse_sequent("p, q => p", calc)) == 0
         assert count(eng.derive_within_height, calc, fresh, 3) == 1
         assert count(eng.min_height, calc, fresh) == 1  # for the bounded search
+        # on a new engine derive's search and the bounded one share the tables
+        assert count(SearchEngine().min_height, calc, fresh) == 1
     for calc in ("sdm", "dm"):
         goal = parse_sequent("p & q => q | r", calc)
         assert count(eng.derive, calc, goal) == 0

@@ -126,20 +126,19 @@ def test_variables_of_every_input_kind():
     dm = parse_sequent("~(p | q), ~~r => p & ~F", "dm")
     int_ = parse_sequent("p -> q, p & (q | r) => (p -> F) -> F", "int")
     cl = parse_sequent("(p -> q) -> p => p | F", "cl")
-    P, Q, R = ("base", "p"), ("base", "q"), ("base", "r")
     cases = [
-        (p, {P}), (BOT, set()), (Var("k0", "class"), {("class", "k0")}),
-        (alg, {P, Q}), (imp, {P, Q, ("primed", "p")}),
-        (Struct(False, alg), {P, Q}), (starred(alg), {P, Q}),
+        (p, {p}), (BOT, set()), (Var("k0", "class"), {Var("k0", "class")}),
+        (alg, {p, q}), (imp, {p, q, Var("p", "primed")}),
+        (Struct(False, alg), {p, q}), (starred(alg), {p, q}),
         (starred(BOT), set()),
-        (sdm, {P, Q}), (dm, {P, Q, R}), (int_, {P, Q, R}), (cl, {P, Q}),
+        (sdm, {p, q}), (dm, {p, q, r}), (int_, {p, q, r}), (cl, {p, q}),
         ((), set()), ([], set()),
-        ((starred(p), alg), {P, Q}), ([imp, r], {P, Q, R, ("primed", "p")}),
-        ([[starred(q)], [[alg, [p]]], ()], {P, Q}),
-        ([sdm, (dm, [cl])], {P, Q, R}),
+        ((starred(p), alg), {p, q}), ([imp, r], {p, q, r, Var("p", "primed")}),
+        ([[starred(q)], [[alg, [p]]], ()], {p, q}),
+        ([sdm, (dm, [cl])], {p, q, r}),
     ]
-    for x, names in cases:
-        assert variables(x) == frozenset(names), x
+    for x, atoms in cases:
+        assert variables(x) == frozenset(atoms), x
 
 
 def test_sequent_replace_and_make_stay_canonical():

@@ -93,7 +93,7 @@ def test_k_measure_falls_on_rewrites(before, after):
     lost = variables(before) - variables(after)
     drops = set()
     for a, b in ((p, q), (heavy, q), (p, heavy)):
-        left_out = [x for x, v in ((a, p), (b, q)) if (v.ns, v.name) in lost]
+        left_out = [x for x, v in ((a, p), (b, q)) if v in lost]
         drops.add(dm_weight(_substitute(before, a, b))
                   - dm_weight(_substitute(after, a, b)) - dm_weight(left_out))
     (drop,) = drops
